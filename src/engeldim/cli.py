@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .construction import DEFAULT_LEVEL_LIMIT, SequenceFamily
+from .construction import DEFAULT_LEVEL_LIMIT, SequenceFamily, smallest_gap
 from .dimension import DEFAULT_FIT_LIMIT, empirical_cover_fit, estimate_dimension
 from .engel import (
     DigitWord,
@@ -529,7 +530,7 @@ def _run_level(cfg: RunConfig) -> tuple[int, str]:
         return 0, "\n".join(lines)
 
     intervals = family.level_intervals(n, cfg.limit)
-    gap = family.min_gap(n, cfg.limit) if n >= 1 else None
+    gap = smallest_gap(intervals)
     max_length = max(iv.length for iv in intervals)
     if cfg.output == "json":
         doc = {
@@ -739,7 +740,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if text:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed early; point stdout at devnull so the flush
+            # at interpreter exit does not report the broken pipe again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return code
 
 

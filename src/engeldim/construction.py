@@ -20,8 +20,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
-from typing import Callable, Iterable, Iterator, Sequence
+from math import floor, prod
+from typing import Callable, Iterable, Iterator
 
 from .engel import DigitWord, RatInterval, reconstruct
 from .errors import (
@@ -205,29 +205,58 @@ class SequenceFamily:
     def divergence_certified(self) -> bool:
         return self._diverges is True
 
-    # -- conditions ----------------------------------------------------
+    # -- the level walker ------------------------------------------------
+
+    def levels(self, depth: int) -> Iterator[tuple[Fraction, Fraction, int, int]]:
+        """Yield (s_k, t_k, j_min, j_max) for k = 1..depth in one pass.
+
+        j_min..j_max is the digit window floor(s_k)+1..floor(s_k+t_k).  The
+        conditions are verified as the walk goes: the first failing level
+        raises its ConditionError after the levels before it were yielded.
+        Nothing is cached; each call evaluates every s_k and t_k once.
+        """
+        for s_k, t_k in self._walk(depth):
+            yield s_k, t_k, floor(s_k) + 1, floor(s_k + t_k)
+
+    def _walk(self, depth: int, first_failures: dict[int, int] | None = None
+              ) -> Iterator[tuple[Fraction, Fraction]]:
+        # the one statement of both conditions, bounds at n checked before
+        # growth at n - 1.  A failure raises, unless a dict is given: then
+        # the first failing index of each condition is recorded under its
+        # number and the walk goes on
+        s_prev = t_prev = None
+        for n in range(1, depth + 1):
+            s_n, t_n = self.s(n), self.t(n)
+            if not s_n >= t_n >= 2:
+                if first_failures is None:
+                    raise ConditionError(
+                        1, n, f"s_{n} >= t_{n} >= 2 fails: s={s_n}, t={t_n}"
+                    )
+                first_failures.setdefault(1, n)
+            if s_prev is not None and s_n < s_prev + t_prev:
+                if first_failures is None:
+                    raise ConditionError(
+                        2, n - 1,
+                        f"s_{n} >= s_{n-1} + t_{n-1} fails: {s_n} < {s_prev + t_prev}",
+                    )
+                first_failures.setdefault(2, n - 1)
+            yield s_n, t_n
+            s_prev, t_prev = s_n, t_n
 
     def check_conditions(self, depth: int) -> ConditionReport:
         """Verify the window conditions exactly for all n <= depth.
 
-        The growth comparison at n = depth evaluates s_{depth+1}, so table
-        families need depth + 1 entries to be checked to a given depth.
+        The growth comparison at n = depth walks to level depth + 1, so
+        table families need depth + 1 entries to be checked to a given depth.
         """
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
-        bounds_violation = growth_violation = None
-        s_prev = t_prev = None
-        for n in range(1, depth + 2):
-            if n <= depth:
-                s_n, t_n = self.s(n), self.t(n)
-                if bounds_violation is None and not s_n >= t_n >= 2:
-                    bounds_violation = n
-            else:
-                s_n, t_n = self.s(n), None
-            if s_prev is not None and growth_violation is None:
-                if s_n < s_prev + t_prev:
-                    growth_violation = n - 1
-            s_prev, t_prev = s_n, t_n
+        first: dict[int, int] = {}
+        for _ in self._walk(depth + 1, first):
+            pass
+        # the bounds at level depth + 1 lie beyond the check
+        bounds_violation = first.get(1) if first.get(1, 0) <= depth else None
+        growth_violation = first.get(2)
         if self._diverges is True:
             divergence = DIVERGES_CERTIFIED
         elif self._diverges is None:
@@ -243,33 +272,15 @@ class SequenceFamily:
             divergence=divergence,
         )
 
-    def _require_conditions(self, depth: int) -> None:
-        # raises where check_conditions reports; used as the precondition
-        # guard of every geometric operation below
-        s_prev = t_prev = None
-        for n in range(1, depth + 1):
-            s_n, t_n = self.s(n), self.t(n)
-            if not s_n >= t_n >= 2:
-                raise ConditionError(
-                    1, n, f"s_{n} >= t_{n} >= 2 fails: s={s_n}, t={t_n}"
-                )
-            if s_prev is not None and s_n < s_prev + t_prev:
-                raise ConditionError(
-                    2, n - 1,
-                    f"s_{n} >= s_{n-1} + t_{n-1} fails: {s_n} < {s_prev + t_prev}",
-                )
-            s_prev, t_prev = s_n, t_n
-
     # -- digit windows --------------------------------------------------
 
     def digit_range(self, k: int) -> tuple[int, int]:
         """Inclusive integer digit window (floor(s_k)+1, floor(s_k+t_k))."""
-        self._require_conditions(k)
-        return self._window(k)
-
-    def _window(self, k: int) -> tuple[int, int]:
-        s_k, t_k = self.s(k), self.t(k)
-        return floor(s_k) + 1, floor(s_k + t_k)
+        if k < 1:
+            raise DomainError(f"sequence index must be >= 1, got {k}")
+        for _, _, j_min, j_max in self.levels(k):
+            pass
+        return j_min, j_max
 
     def branch_count(self, k: int) -> int:
         """Number of admissible digits at level k."""
@@ -278,12 +289,7 @@ class SequenceFamily:
 
     def word_count(self, n: int) -> int:
         """Exact number of level-n words: the product of the branch counts."""
-        self._require_conditions(n)
-        total = 1
-        for k in range(1, n + 1):
-            j_min, j_max = self._window(k)
-            total *= j_max - j_min + 1
-        return total
+        return prod(hi - lo + 1 for _, _, lo, hi in self.levels(n))
 
     def iter_words(self, n: int, limit: int | None = None) -> Iterator[DigitWord]:
         """Yield the level-n words in lexicographic order.
@@ -294,11 +300,7 @@ class SequenceFamily:
         """
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
-        self._require_conditions(n)
-        ranges = []
-        for k in range(1, n + 1):
-            j_min, j_max = self._window(k)
-            ranges.append(range(j_min, j_max + 1))
+        ranges = [range(lo, hi + 1) for _, _, lo, hi in self.levels(n)]
         words = (DigitWord(combo) for combo in itertools.product(*ranges))
         return words if limit is None else itertools.islice(words, limit)
 
@@ -309,8 +311,7 @@ class SequenceFamily:
             raise DomainError(f"level must be >= 1, got {n}")
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count}")
-        self._require_conditions(n)
-        windows = [self._window(k) for k in range(1, n + 1)]
+        windows = [(lo, hi) for _, _, lo, hi in self.levels(n)]
         return [
             DigitWord(rng.randint(j_min, j_max) for j_min, j_max in windows)
             for _ in range(count)
@@ -326,26 +327,20 @@ class SequenceFamily:
         [S + 1/(P*j_max), S + 1/(P*(j_min - 1))].
         """
         w = word if isinstance(word, DigitWord) else DigitWord(word)
-        n = len(w)
-        self._require_conditions(n + 1)
-        for k, digit in enumerate(w, start=1):
-            j_min, j_max = self._window(k)
-            if not j_min <= digit <= j_max:
+        *windows, last = [(lo, hi) for _, _, lo, hi in self.levels(len(w) + 1)]
+        for k, (digit, (lo, hi)) in enumerate(zip(w, windows), start=1):
+            if not lo <= digit <= hi:
                 raise InvalidWordError(
-                    f"digit {digit} at position {k} outside window "
-                    f"[{j_min}, {j_max}]"
+                    f"digit {digit} at position {k} outside window [{lo}, {hi}]"
                 )
-        j_min, j_max = self._window(n + 1)
-        return self._interval_from_word(w, j_min, j_max)
+        return self._interval_from_word(w, *last)
 
     @staticmethod
     def _interval_from_word(w: DigitWord, j_min: int, j_max: int) -> RatInterval:
         base = reconstruct(w)
-        prod = 1
-        for d in w:
-            prod *= d
-        lo = base + Fraction(1, prod * j_max)
-        hi = base + Fraction(1, prod * (j_min - 1))
+        digit_prod = prod(w)
+        lo = base + Fraction(1, digit_prod * j_max)
+        hi = base + Fraction(1, digit_prod * (j_min - 1))
         return RatInterval(lo, hi, lo_closed=True, hi_closed=True)
 
     def level_intervals(self, n: int,
@@ -359,15 +354,16 @@ class SequenceFamily:
             raise DomainError(f"level must be >= 0, got {n}")
         if n == 0:
             return [RatInterval(Fraction(0), Fraction(1), True, True)]
-        self._require_conditions(n + 1)
-        total = self.word_count(n)
+        *windows, (j_min, j_max) = [(lo, hi) for _, _, lo, hi in self.levels(n + 1)]
+        total = prod(hi - lo + 1 for lo, hi in windows)
         if limit is not None and total > limit:
             raise SizeLimitError(
                 total, limit, f"level {n} holds {total} intervals, limit {limit}"
             )
-        j_min, j_max = self._window(n + 1)
+        ranges = [range(lo, hi + 1) for lo, hi in windows]
         intervals = [
-            self._interval_from_word(w, j_min, j_max) for w in self.iter_words(n)
+            self._interval_from_word(DigitWord(combo), j_min, j_max)
+            for combo in itertools.product(*ranges)
         ]
         # lexicographic word order is not endpoint order: within a parent,
         # a larger last digit starts further left
@@ -380,13 +376,7 @@ class SequenceFamily:
 
         None when the level has fewer than two intervals.
         """
-        intervals = self.level_intervals(n, limit)
-        if len(intervals) < 2:
-            return None
-        return min(
-            right.lo - left.hi
-            for left, right in zip(intervals, intervals[1:])
-        )
+        return smallest_gap(self.level_intervals(n, limit))
 
     def max_interval_length(self, n: int) -> Fraction:
         """Largest basic-interval length at level n, in closed form.
@@ -397,13 +387,11 @@ class SequenceFamily:
         """
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
-        self._require_conditions(n + 1)
-        prod = 1
-        for k in range(1, n + 1):
-            j_min, _ = self._window(k)
-            prod *= j_min
-        j_min, j_max = self._window(n + 1)
-        return Fraction(1, prod) * (Fraction(1, j_min - 1) - Fraction(1, j_max))
+        prod_min = 1
+        for _, _, j_min, j_max in self.levels(n + 1):
+            prod_min *= j_min
+        # prod_min ran through level n + 1, whose j_min the numerator cancels
+        return Fraction(j_min, prod_min) * (Fraction(1, j_min - 1) - Fraction(1, j_max))
 
     # -- a priori bounds ---------------------------------------------------
 
@@ -412,44 +400,40 @@ class SequenceFamily:
         (1/(s_1...s_n)) * 4*t_{n+1}/s_{n+1}**2."""
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
-        self._require_conditions(n + 1)
-        prod = Fraction(1)
-        for k in range(1, n + 1):
-            prod *= self.s(k)
-        s_next, t_next = self.s(n + 1), self.t(n + 1)
-        return (1 / prod) * (4 * t_next / s_next**2)
+        prod_s = Fraction(1)
+        for s_k, t_k, _, _ in self.levels(n + 1):
+            prod_s *= s_k
+        # prod_s ran through s_{n+1}: one more factor makes s_{n+1}**2
+        return 4 * t_k / (prod_s * s_k)
 
     def gap_bound(self, n: int) -> Fraction:
         """Exact bound below every gap at level n:
         1/(2**(n+3) * s_1...s_n * s_n)."""
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
-        self._require_conditions(n)
-        prod = Fraction(1)
-        s_n = None
-        for k in range(1, n + 1):
-            s_n = self.s(k)
-            prod *= s_n
-        return Fraction(1, 2 ** (n + 3)) / (prod * s_n)
+        prod_s = Fraction(1)
+        for s_k, _, _, _ in self.levels(n):
+            prod_s *= s_k
+        return Fraction(1, 2 ** (n + 3)) / (prod_s * s_k)
 
     def iter_level_quantities(self, depth: int) -> Iterator[LevelQuantities]:
         """Yield the quantities of levels 1..depth in one incremental sweep.
 
         Each sequence value is evaluated once, so this is the way to
         tabulate deep runs; per-level calls would redo the prefix work.
+        The conditions are verified in the same pass, so a lazy consumer
+        can receive the first levels before a ConditionError from a deeper
+        one.
         """
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
-        self._require_conditions(depth + 1)
         prod_s = Fraction(1)
         count = 1
         branches: list[int] = []
-        s_next, t_next = self.s(1), self.t(1)
-        for n in range(1, depth + 1):
-            s_n, t_n = s_next, t_next
-            s_next, t_next = self.s(n + 1), self.t(n + 1)
+        walk = itertools.pairwise(self.levels(depth + 1))
+        for n, ((s_n, _, lo, hi), (s_next, t_next, _, _)) in enumerate(walk, 1):
             prod_s *= s_n
-            m = floor(s_n + t_n) - floor(s_n)
+            m = hi - lo + 1
             branches.append(m)
             count *= m
             yield LevelQuantities(
@@ -462,10 +446,18 @@ class SequenceFamily:
 
     def level_quantities(self, n: int) -> LevelQuantities:
         """Bundle count, branch counts, and both bounds for one level."""
-        last = None
         for last in self.iter_level_quantities(n):
             pass
         return last
+
+
+def smallest_gap(intervals: Iterable[RatInterval]) -> Fraction | None:
+    """Smallest distance between consecutive intervals of a list sorted by
+    left endpoint; None when it holds fewer than two."""
+    return min(
+        (right.lo - left.hi for left, right in itertools.pairwise(intervals)),
+        default=None,
+    )
 
 
 def _validated_pairs(pairs: Iterable) -> tuple[tuple[Fraction, Fraction], ...]:

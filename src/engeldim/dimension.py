@@ -19,7 +19,8 @@ natural base is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, log
+from itertools import pairwise
+from math import log
 from typing import Sequence
 
 from .construction import SequenceFamily
@@ -78,12 +79,9 @@ def formula_quotient(f: SequenceFamily, n: int) -> float:
     (sum of log s_k, k <= n+1) + log s_{n+1} - log t_{n+1}."""
     if n < 1:
         raise DomainError(f"level must be >= 1, got {n}")
-    f._require_conditions(n + 1)
-    num = 0.0
-    den = 0.0
-    for k in range(1, n + 2):
-        log_s = log_rational(f.s(k))
-        log_t = log_rational(f.t(k))
+    num = den = 0.0
+    for k, (s_k, t_k, _, _) in enumerate(f.levels(n + 1), start=1):
+        log_s, log_t = log_rational(s_k), log_rational(t_k)
         den += log_s
         if k <= n:
             num += log_t
@@ -108,7 +106,6 @@ def lower_bound_quotient(f: SequenceFamily, n: int) -> float:
     """
     if n < 2:
         raise DomainError(f"lower quotient needs level >= 2, got {n}")
-    f._require_conditions(n)
     num = 0.0
     for k in range(1, n):
         num += log_rational(f.branch_count(k))
@@ -123,7 +120,10 @@ def estimate_dimension(f: SequenceFamily, n_max: int,
 
     tail_window defaults to a tenth of n_max (at least 1).  The estimate
     is the minimum of the formula quotient over the final tail_window
-    levels; it proxies a limit infimum and the report says so.
+    levels; it proxies a limit infimum and the report says so.  The
+    window conditions are verified in the same pass that takes the logs:
+    a violation raises ConditionError when the walk reaches its level,
+    and no report is returned.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -133,42 +133,30 @@ def estimate_dimension(f: SequenceFamily, n_max: int,
         raise DomainError(
             f"tail_window must lie in [1, {n_max}], got {tail_window}"
         )
-    f._require_conditions(n_max + 1)
 
-    # one shared sweep: prefix sums of the floated logs; every floor and
-    # branch count is computed exactly before its log is taken
-    log_s: list[float] = [0.0]  # 1-indexed
-    log_t: list[float] = [0.0]
-    log_m: list[float] = [0.0]
-    for k in range(1, n_max + 2):
-        s_k, t_k = f.s(k), f.t(k)
-        log_s.append(log_rational(s_k))
-        log_t.append(log_rational(t_k))
-        m_k = floor(s_k + t_k) - floor(s_k)
-        log_m.append(log_rational(m_k))
-
+    # one shared sweep: prefix sums of the floated logs; every branch
+    # count is computed exactly, from the walker's window, before its log
+    logs = (
+        (log_rational(s_k), log_rational(t_k), log_rational(j_max - j_min + 1))
+        for s_k, t_k, j_min, j_max in f.levels(n_max + 1)
+    )
     formula: list[float] = []
     upper: list[float] = []
     lower: list[float | None] = []
-    sum_log_s = 0.0
-    sum_log_t = 0.0
-    sum_log_m = 0.0
-    for n in range(1, n_max + 1):
-        prev_sum_log_m = sum_log_m
-        sum_log_s += log_s[n]
-        sum_log_t += log_t[n]
-        sum_log_m += log_m[n]
-        den_formula = sum_log_s + 2 * log_s[n + 1] - log_t[n + 1]
+    sum_log_s = sum_log_t = sum_log_m = 0.0
+    walk = pairwise(logs)
+    for n, ((log_s, log_t, log_m), (log_s_next, log_t_next, _)) in enumerate(walk, 1):
+        sum_log_s += log_s
+        sum_log_t += log_t
+        # -log(m_n * epsilon_n), epsilon_n = 2^-(n+3) / (s_1...s_n * s_n);
+        # the numerator sums log m_k over k < n, none at n = 1
+        lower.append(None if n == 1 else sum_log_m / (
+            (n + 3) * LOG2 + sum_log_s + log_s - log_m))
+        sum_log_m += log_m
+        den_formula = sum_log_s + 2 * log_s_next - log_t_next
         formula.append(sum_log_t / den_formula)
         # -log delta_n with delta_n = (1/(s_1...s_n)) * 4 t_{n+1} / s_{n+1}^2
-        neg_log_delta = sum_log_s + 2 * log_s[n + 1] - log_t[n + 1] - LOG4
-        upper.append(sum_log_m / neg_log_delta)
-        if n == 1:
-            lower.append(None)
-        else:
-            # -log(m_n * epsilon_n), epsilon_n = 2^-(n+3) / (s_1...s_n * s_n)
-            neg_log_gap = (n + 3) * LOG2 + sum_log_s + log_s[n] - log_m[n]
-            lower.append(prev_sum_log_m / neg_log_gap)
+        upper.append(sum_log_m / (den_formula - LOG4))
 
     tail = formula[-tail_window:]
     tail_min = min(tail)

@@ -404,3 +404,20 @@ def test_huge_exact_values_survive_string_conversion():
     lines = result.stdout.strip().split("\n")
     assert len(lines) == 131
     assert len(lines[-1]) > 4300
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader leaves after one line of a csv of several megabytes; the
+    # next write meets a broken pipe, which must not print a traceback
+    with subprocess.Popen(
+        [sys.executable, "-m", "engeldim", "dim", "--family", "geometric",
+         "--s", "4", "--t", "2", "--n-max", "300", "--output", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert header == b"n,F_n,upper_n,lower_n,N_n,delta_n,epsilon_n\n"
+    assert code == 1
+    assert err == b""

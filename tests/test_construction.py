@@ -1,6 +1,8 @@
+import collections
 import itertools
 import random
 from fractions import Fraction as F
+from math import floor
 
 import pytest
 
@@ -13,6 +15,8 @@ from engeldim import (
     SequenceFamily,
     SizeLimitError,
     cylinder_interval,
+    estimate_dimension,
+    formula_quotient,
     is_admissible,
 )
 
@@ -407,3 +411,147 @@ def test_random_valid_tables_satisfy_all_structural_properties():
         assert gap is None or gap >= quantities.gap_bound
         for word in fam.iter_words(n, limit=50):
             assert is_admissible(word)
+
+
+# -- the level walker ------------------------------------------------------------
+
+
+def test_levels_yields_values_and_windows(fam42):
+    assert list(fam42.levels(3)) == [
+        (4, 2, 5, 6),
+        (16, 4, 17, 20),
+        (64, 8, 65, 72),
+    ]
+    assert list(fam42.levels(0)) == []
+
+
+def test_levels_yields_the_good_prefix_before_raising():
+    walk = SequenceFamily.from_pairs([(4, 2), (16, 4), (18, 4)]).levels(3)
+    assert next(walk)[:2] == (4, 2)
+    assert next(walk)[:2] == (16, 4)
+    with pytest.raises(ConditionError) as info:
+        next(walk)
+    assert (info.value.condition, info.value.index) == (2, 2)
+
+
+def counting_family():
+    """Valid (4^n, 2^n) family whose closures count every evaluation."""
+    calls = collections.Counter()
+
+    def s(n):
+        calls["s", n] += 1
+        return 4**n
+
+    def t(n):
+        calls["t", n] += 1
+        return 2**n
+
+    return SequenceFamily.from_function(s, t), calls
+
+
+SINGLE_PASS_OPERATIONS = {
+    "digit_range": lambda f: f.digit_range(4),
+    "branch_count": lambda f: f.branch_count(4),
+    "word_count": lambda f: f.word_count(4),
+    "iter_words": lambda f: list(f.iter_words(3)),
+    "sample_words": lambda f: f.sample_words(4, 5, random.Random(1)),
+    "basic_interval": lambda f: f.basic_interval([5, 17, 65]),
+    "level_intervals": lambda f: f.level_intervals(3),
+    "min_gap": lambda f: f.min_gap(3),
+    "max_interval_length": lambda f: f.max_interval_length(4),
+    "diameter_bound": lambda f: f.diameter_bound(4),
+    "gap_bound": lambda f: f.gap_bound(4),
+    "iter_level_quantities": lambda f: list(f.iter_level_quantities(6)),
+    "level_quantities": lambda f: f.level_quantities(6),
+    "check_conditions": lambda f: f.check_conditions(6),
+    "estimate_dimension": lambda f: estimate_dimension(f, 12),
+    "formula_quotient": lambda f: formula_quotient(f, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_PASS_OPERATIONS))
+def test_each_operation_evaluates_each_index_at_most_once(name):
+    fam, calls = counting_family()
+    SINGLE_PASS_OPERATIONS[name](fam)
+    assert calls, "the operation evaluated no sequence value"
+    repeated = {key: count for key, count in calls.items() if count > 1}
+    assert repeated == {}
+
+
+def require_conditions_oracle(fam, depth):
+    # the validation loop that every operation once ran before reading
+    # its values, kept verbatim as the oracle of the walker's errors
+    s_prev = t_prev = None
+    for n in range(1, depth + 1):
+        s_n, t_n = fam.s(n), fam.t(n)
+        if not s_n >= t_n >= 2:
+            raise ConditionError(
+                1, n, f"s_{n} >= t_{n} >= 2 fails: s={s_n}, t={t_n}"
+            )
+        if s_prev is not None and s_n < s_prev + t_prev:
+            raise ConditionError(
+                2, n - 1,
+                f"s_{n} >= s_{n-1} + t_{n-1} fails: {s_n} < {s_prev + t_prev}",
+            )
+        s_prev, t_prev = s_n, t_n
+
+
+def condition_outcome(call):
+    """(condition, index, message) of the ConditionError raised, or None."""
+    try:
+        call()
+    except ConditionError as exc:
+        return exc.condition, exc.index, str(exc)
+    except (SizeLimitError, InvalidWordError):
+        pass
+    return None
+
+
+def first_reported(report, depth):
+    """First violation of a report in the walk's order, as (condition, index).
+
+    The walk checks the bounds at level n before the growth at n - 1, and
+    growth at depth needs level depth + 1, past a walk to depth.
+    """
+    found = []
+    if report.bounds_violation is not None:
+        found.append((report.bounds_violation, 0, 1, report.bounds_violation))
+    if report.growth_violation is not None and report.growth_violation < depth:
+        found.append((report.growth_violation + 1, 1, 2, report.growth_violation))
+    return min(found)[2:] if found else None
+
+
+def inject_violation(rng, pairs):
+    """Break one condition at a random level of a valid table."""
+    pairs = list(pairs)
+    k = rng.randrange(len(pairs) - 1)
+    s_k, t_k = pairs[k]
+    if rng.random() < 0.5:  # bounds: t_k above s_k, or below 2
+        pairs[k] = (s_k, rng.choice([s_k + 1, 2 * s_k, F(3, 2)]))
+    else:  # growth: s_{k+1} falls short of s_k + t_k
+        pairs[k + 1] = (s_k + t_k - rng.choice([F(1, 2), 1, t_k]), pairs[k + 1][1])
+    return pairs
+
+
+def test_walker_errors_agree_with_the_validation_loop():
+    rng = random.Random(20261017)
+    for _ in range(40):
+        pairs = inject_violation(rng, random_valid_table(rng, rng.randint(3, 6)))
+        fam = SequenceFamily.from_pairs(pairs)
+        word = []
+        for s_k, _ in pairs:
+            word.append(max(floor(s_k) + 1, word[-1] if word else 2))
+        for depth in range(1, len(pairs) + 1):
+            expected = condition_outcome(lambda: require_conditions_oracle(fam, depth))
+            calls = [lambda: fam.digit_range(depth), lambda: fam.word_count(depth)]
+            if depth >= 2:
+                calls += [
+                    lambda: fam.basic_interval(word[:depth - 1]),
+                    lambda: fam.level_intervals(depth - 1, limit=1),
+                    lambda: estimate_dimension(fam, depth - 1),
+                ]
+            for call in calls:
+                assert condition_outcome(call) == expected, (pairs, depth)
+            if depth < len(pairs):
+                reported = first_reported(fam.check_conditions(depth), depth)
+                assert reported == (expected[:2] if expected else None), (pairs, depth)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -229,3 +230,15 @@ def test_cover_fit_is_scale_free_in_the_point_order(fam22):
     forward = empirical_cover_fit(fam22, [2, 3, 4, 5, 6], limit=2**22)
     shuffled = empirical_cover_fit(fam22, [5, 2, 6, 3, 4], limit=2**22)
     assert forward.slope == pytest.approx(shuffled.slope, abs=1e-15)
+
+
+def test_deep_sweep_memory_stays_small(fam42):
+    # the sweep keeps floats per level and no exact per-level table; a
+    # table of s_k and t_k alone would hold about 22 MB at this depth
+    tracemalloc.start()
+    try:
+        estimate_dimension(fam42, 10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
