@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage problem, 2 violated window conditions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -124,6 +125,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# nothing mutates the parser, so one tree serves every call in a process
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="engeldim", allow_abbrev=False,
                      description=__doc__.splitlines()[0])
@@ -490,9 +493,7 @@ def _run_level(cfg: RunConfig) -> tuple[int, str]:
     n = cfg.depth
     if cfg.sample is not None:
         rng = random.Random(cfg.seed)
-        words = family.sample_words(n, cfg.sample, rng)
-        intervals = [family.basic_interval(w) for w in words]
-        count = family.word_count(n)
+        count, words, intervals = family.sample_level(n, cfg.sample, rng)
         if cfg.output == "json":
             doc = {
                 "command": "level",
@@ -531,7 +532,9 @@ def _run_level(cfg: RunConfig) -> tuple[int, str]:
 
     intervals = family.level_intervals(n, cfg.limit)
     gap = smallest_gap(intervals)
-    max_length = max(iv.length for iv in intervals)
+    # the all-minimal word comes last; with the smallest digit product its
+    # interval is the longest
+    max_length = intervals[-1].length
     if cfg.output == "json":
         doc = {
             "command": "level",

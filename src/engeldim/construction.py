@@ -23,11 +23,12 @@ from fractions import Fraction
 from math import floor, prod
 from typing import Callable, Iterable, Iterator
 
-from .engel import DigitWord, RatInterval, reconstruct
+from .engel import DigitWord, RatInterval
 from .errors import (
     ConditionError,
     DomainError,
     EvaluationError,
+    InternalError,
     InvalidWordError,
     SizeLimitError,
 )
@@ -317,6 +318,27 @@ class SequenceFamily:
             for _ in range(count)
         ]
 
+    def sample_level(self, n: int, count: int, rng: random.Random
+                     ) -> tuple[int, list[tuple[int, ...]], list[RatInterval]]:
+        """Level-n word count, plus count uniformly drawn words and their
+        basic intervals, all from one walk of levels 1..n+1.
+
+        The words are drawn exactly as sample_words draws them from the
+        same generator state.
+        """
+        if n < 1:
+            raise DomainError(f"level must be >= 1, got {n}")
+        if count < 1:
+            raise DomainError(f"count must be >= 1, got {count}")
+        *windows, (j_min, j_max) = self._word_windows(n)
+        words = [
+            tuple(rng.randint(lo, hi) for lo, hi in windows) for _ in range(count)
+        ]
+        intervals = [
+            self._interval_from_word(*_prefix_state(w), j_min, j_max) for w in words
+        ]
+        return prod(hi - lo + 1 for lo, hi in windows), words, intervals
+
     # -- basic intervals -------------------------------------------------
 
     def basic_interval(self, word) -> RatInterval:
@@ -333,42 +355,68 @@ class SequenceFamily:
                 raise InvalidWordError(
                     f"digit {digit} at position {k} outside window [{lo}, {hi}]"
                 )
-        return self._interval_from_word(w, *last)
+        return self._interval_from_word(*_prefix_state(w), *last)
 
     @staticmethod
-    def _interval_from_word(w: DigitWord, j_min: int, j_max: int) -> RatInterval:
-        base = reconstruct(w)
-        digit_prod = prod(w)
-        lo = base + Fraction(1, digit_prod * j_max)
-        hi = base + Fraction(1, digit_prod * (j_min - 1))
-        return RatInterval(lo, hi, lo_closed=True, hi_closed=True)
+    def _interval_from_word(a: int, p: int, j_min: int, j_max: int) -> RatInterval:
+        # the basic interval of the word whose prefix state is (a, p), so
+        # S = a/p; each endpoint S + 1/(p*j) is built as one fraction
+        return RatInterval(Fraction(a * j_max + 1, p * j_max),
+                           Fraction(a * (j_min - 1) + 1, p * (j_min - 1)),
+                           lo_closed=True, hi_closed=True)
+
+    def _word_windows(self, n: int) -> list[tuple[int, int]]:
+        # the windows of levels 1..n+1 from one walk.  The walked conditions
+        # make the first window start above 2 and each start above the end
+        # of the one before, so every word drawn from them is admissible;
+        # this O(n) check stands in for validating each word
+        windows = [(lo, hi) for _, _, lo, hi in self.levels(n + 1)]
+        prev_hi = 2
+        for k, (lo, hi) in enumerate(windows, start=1):
+            if lo < prev_hi:
+                raise InternalError(
+                    f"window [{lo}, {hi}] of level {k} starts below {prev_hi}"
+                )
+            prev_hi = hi
+        return windows
 
     def level_intervals(self, n: int,
                         limit: int | None = DEFAULT_LEVEL_LIMIT) -> list[RatInterval]:
         """All basic intervals of level n, sorted by left endpoint.
 
         Level 0 is the convention [0, 1].  Raises a size-limit error, with
-        the exact count attached, when the level exceeds the limit.
+        the exact count attached, before anything is built when the level
+        exceeds the limit.
+
+        The level grows one digit position at a time over prefix states
+        (a, p): a/p is a word's reconstruction, p its digit product, and
+        appending digit d gives (a*d + 1, p*d).  A larger digit puts a
+        child further left inside its parent's cylinder, and cylinders of
+        distinct parents are disjoint, so taking every window's digits in
+        descending order keeps each level sorted by left endpoint.
         """
         if n < 0:
             raise DomainError(f"level must be >= 0, got {n}")
         if n == 0:
             return [RatInterval(Fraction(0), Fraction(1), True, True)]
-        *windows, (j_min, j_max) = [(lo, hi) for _, _, lo, hi in self.levels(n + 1)]
+        *windows, (j_min, j_max) = self._word_windows(n)
         total = prod(hi - lo + 1 for lo, hi in windows)
         if limit is not None and total > limit:
             raise SizeLimitError(
                 total, limit, f"level {n} holds {total} intervals, limit {limit}"
             )
-        ranges = [range(lo, hi + 1) for lo, hi in windows]
-        intervals = [
-            self._interval_from_word(DigitWord(combo), j_min, j_max)
-            for combo in itertools.product(*ranges)
+        *head, (lo, hi) = windows
+        states = [(0, 1)]
+        for w_lo, w_hi in head:
+            digits = range(w_hi, w_lo - 1, -1)
+            states = [(a * d + 1, p * d) for a, p in states for d in digits]
+        # the last digit position is expanded where the intervals are built,
+        # so no count-sized list of level-n states is held
+        return [
+            self._interval_from_word(a * d + 1, p * d, j_min, j_max)
+            for a, p in states
+            for d in range(hi, lo - 1, -1)
         ]
-        # lexicographic word order is not endpoint order: within a parent,
-        # a larger last digit starts further left
-        intervals.sort(key=lambda iv: iv.lo)
-        return intervals
 
     def min_gap(self, n: int,
                 limit: int | None = DEFAULT_LEVEL_LIMIT) -> Fraction | None:
@@ -387,11 +435,22 @@ class SequenceFamily:
         """
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
-        prod_min = 1
-        for _, _, j_min, j_max in self.levels(n + 1):
-            prod_min *= j_min
-        # prod_min ran through level n + 1, whose j_min the numerator cancels
-        return Fraction(j_min, prod_min) * (Fraction(1, j_min - 1) - Fraction(1, j_max))
+        for _, length in self.iter_counts_and_max_lengths(n):
+            pass
+        return length
+
+    def iter_counts_and_max_lengths(self, depth: int) -> Iterator[tuple[int, Fraction]]:
+        """Yield (N_n, largest level-n interval length) for n = 1..depth
+        from one walk of levels 1..depth+1."""
+        if depth < 1:
+            raise DomainError(f"depth must be >= 1, got {depth}")
+        count = prod_min = 1
+        walk = itertools.pairwise(self.levels(depth + 1))
+        for (_, _, lo, hi), (_, _, j_min, j_max) in walk:
+            count *= hi - lo + 1
+            prod_min *= lo
+            yield count, Fraction(1, prod_min) * (
+                Fraction(1, j_min - 1) - Fraction(1, j_max))
 
     # -- a priori bounds ---------------------------------------------------
 
@@ -458,6 +517,14 @@ def smallest_gap(intervals: Iterable[RatInterval]) -> Fraction | None:
         (right.lo - left.hi for left, right in itertools.pairwise(intervals)),
         default=None,
     )
+
+
+def _prefix_state(digits: Iterable[int]) -> tuple[int, int]:
+    # (a, p) with a/p the word's reconstruction and p its digit product
+    a, p = 0, 1
+    for d in digits:
+        a, p = a * d + 1, p * d
+    return a, p
 
 
 def _validated_pairs(pairs: Iterable) -> tuple[tuple[Fraction, Fraction], ...]:

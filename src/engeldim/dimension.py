@@ -187,16 +187,20 @@ def empirical_cover_fit(f: SequenceFamily, depths: Sequence[int],
         raise DomainError("cover fit needs at least two depths")
     if any(d < 1 for d in depth_list):
         raise DomainError(f"depths must be >= 1, got {list(depth_list)}")
-    xs: list[float] = []
-    ys: list[float] = []
-    for d in depth_list:
-        count = f.word_count(d)
-        if limit is not None and count > limit:
-            raise SizeLimitError(
-                count, limit, f"depth {d} holds {count} intervals, limit {limit}"
-            )
-        xs.append(-log_rational(f.max_interval_length(d)))
-        ys.append(log_rational(count))
+    # one walk serves every depth; each depth's count is checked against
+    # the limit as the walk reaches it, in increasing depth
+    wanted = set(depth_list)
+    points: dict[int, tuple[float, float]] = {}
+    walk = f.iter_counts_and_max_lengths(max(depth_list))
+    for d, (count, length) in enumerate(walk, start=1):
+        if d in wanted:
+            if limit is not None and count > limit:
+                raise SizeLimitError(
+                    count, limit, f"depth {d} holds {count} intervals, limit {limit}"
+                )
+            points[d] = (-log_rational(length), log_rational(count))
+    xs = [points[d][0] for d in depth_list]
+    ys = [points[d][1] for d in depth_list]
     sxx = sum(x * x for x in xs)
     sxy = sum(x * y for x, y in zip(xs, ys))
     return CoverFitResult(

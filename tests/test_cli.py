@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from engeldim import SequenceFamily, UsageError
-from engeldim.cli import main, parse_config
+from engeldim.cli import build_parser, main, parse_config
+from engeldim.construction import DEFAULT_LEVEL_LIMIT
 
 
 def run_cli(capsys, *args):
@@ -51,6 +52,15 @@ def test_parse_rejects_bad_values():
         parse_config(["digits", "--x", "1/2", "--output", "yaml"])
     with pytest.raises(UsageError):
         parse_config(["digits", "--x", "1/0"])
+
+
+def test_parser_is_built_once_and_keeps_no_values_between_parses():
+    assert build_parser() is build_parser()
+    family = ["--family", "geometric", "--s", "4", "--t", "2", "--depth", "3"]
+    limited = parse_config(["level", *family, "--limit", "5", "--sample", "2"])
+    plain = parse_config(["level", *family])
+    assert (limited.limit, limited.sample) == (5, 2)
+    assert (plain.limit, plain.sample) == (DEFAULT_LEVEL_LIMIT, None)
 
 
 def test_parse_builds_each_family_kind():

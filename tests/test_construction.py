@@ -1,6 +1,9 @@
 import collections
+import gc
 import itertools
 import random
+import tracemalloc
+import weakref
 from fractions import Fraction as F
 from math import floor
 
@@ -15,21 +18,22 @@ from engeldim import (
     SequenceFamily,
     SizeLimitError,
     cylinder_interval,
+    empirical_cover_fit,
     estimate_dimension,
     formula_quotient,
     is_admissible,
 )
 
 
-def random_valid_table(rng: random.Random, depth: int):
+def random_valid_table(rng: random.Random, depth: int, t_max: int = 8):
     """Random (s, t) table satisfying the window conditions by build.
 
-    t is capped so the level counts stay enumerable in a test run.
+    t is capped at t_max so the level counts stay enumerable in a test run.
     """
     pairs = []
     s = F(rng.randint(2, 12))
     for _ in range(depth):
-        t = F(rng.randint(2, min(int(s), 8)))
+        t = F(rng.randint(2, min(int(s), t_max)))
         pairs.append((s, t))
         s = s + t + F(rng.randint(0, 5))
     return pairs
@@ -333,6 +337,81 @@ def test_level_size_limit_reports_exact_count(fam22):
         fam22.min_gap(10, limit=100)
 
 
+def brute_force_level(fam, n):
+    """Every level-n word's basic interval, sorted by left endpoint."""
+    if n == 0:
+        return fam.level_intervals(0)
+    return sorted((fam.basic_interval(w) for w in fam.iter_words(n)),
+                  key=lambda iv: iv.lo)
+
+
+def enumeration_families():
+    # the three acceptance families, a family with non-integer s_n and t_n,
+    # and 20 seeded tables of branch counts 2 or 3
+    rng = random.Random(20261018)
+    return [
+        SequenceFamily.geometric(4, 2),
+        SequenceFamily.geometric(2, 2),
+        SequenceFamily.geometric(2, 1, t_coef=2),
+        SequenceFamily.geometric(F(5, 2), F(5, 4), s_coef=4, t_coef=2),
+    ] + [SequenceFamily.from_pairs(random_valid_table(rng, 6, t_max=3))
+         for _ in range(20)]
+
+
+def test_level_intervals_equal_the_sorted_brute_force_level():
+    # levels over 4096 words are left out: through basic_interval the two
+    # 32768-word levels of (4^n, 2^n) and (2^n, 2^n) take seconds each
+    for fam in enumeration_families():
+        for n in range(6):
+            if fam.word_count(n) > 4096:
+                continue
+            intervals = fam.level_intervals(n)
+            assert intervals == brute_force_level(fam, n), (fam.description, n)
+            longest = max(iv.length for iv in intervals)
+            assert intervals[-1].length == longest
+            if n >= 1:
+                assert fam.max_interval_length(n) == longest
+
+
+def test_level_intervals_leave_no_reference_cycle(fam21):
+    # a cycle through the builder would keep the level alive until the
+    # cyclic collector runs
+    gc.disable()
+    try:
+        intervals = fam21.level_intervals(12)
+        ref = weakref.ref(intervals[len(intervals) // 2])
+        del intervals
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_level_enumeration_memory_stays_small(fam21):
+    # 8192 intervals hold about 3.1 MB and the build peaks near 3.6 MB;
+    # holding the level-n prefix states as well peaks near 4.3 MB
+    tracemalloc.start()
+    try:
+        fam21.level_intervals(13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_sample_level_matches_the_per_word_operations(test_families):
+    for fam in test_families:
+        for n in (1, 3, 6):
+            count, words, intervals = fam.sample_level(n, 12, random.Random(n))
+            expected = fam.sample_words(n, 12, random.Random(n))
+            assert words == expected
+            assert intervals == [fam.basic_interval(w) for w in expected]
+            assert count == fam.word_count(n)
+    with pytest.raises(DomainError):
+        test_families[0].sample_level(0, 3, random.Random(0))
+    with pytest.raises(DomainError):
+        test_families[0].sample_level(2, 0, random.Random(0))
+
+
 def test_min_gap_known_value(fam42):
     # 21/100 - 17/96, endpoints of the two level-1 intervals
     assert fam42.min_gap(1) == F(79, 2400)
@@ -455,10 +534,12 @@ SINGLE_PASS_OPERATIONS = {
     "word_count": lambda f: f.word_count(4),
     "iter_words": lambda f: list(f.iter_words(3)),
     "sample_words": lambda f: f.sample_words(4, 5, random.Random(1)),
+    "sample_level": lambda f: f.sample_level(4, 5, random.Random(1)),
     "basic_interval": lambda f: f.basic_interval([5, 17, 65]),
     "level_intervals": lambda f: f.level_intervals(3),
     "min_gap": lambda f: f.min_gap(3),
     "max_interval_length": lambda f: f.max_interval_length(4),
+    "iter_counts_and_max_lengths": lambda f: list(f.iter_counts_and_max_lengths(4)),
     "diameter_bound": lambda f: f.diameter_bound(4),
     "gap_bound": lambda f: f.gap_bound(4),
     "iter_level_quantities": lambda f: list(f.iter_level_quantities(6)),
@@ -466,6 +547,7 @@ SINGLE_PASS_OPERATIONS = {
     "check_conditions": lambda f: f.check_conditions(6),
     "estimate_dimension": lambda f: estimate_dimension(f, 12),
     "formula_quotient": lambda f: formula_quotient(f, 6),
+    "empirical_cover_fit": lambda f: empirical_cover_fit(f, [2, 3, 4, 5, 6]),
 }
 
 
@@ -549,6 +631,8 @@ def test_walker_errors_agree_with_the_validation_loop():
                     lambda: fam.basic_interval(word[:depth - 1]),
                     lambda: fam.level_intervals(depth - 1, limit=1),
                     lambda: estimate_dimension(fam, depth - 1),
+                    lambda: fam.sample_level(depth - 1, 3, random.Random(depth)),
+                    lambda: empirical_cover_fit(fam, [1, depth - 1]),
                 ]
             for call in calls:
                 assert condition_outcome(call) == expected, (pairs, depth)
