@@ -9,22 +9,33 @@ the flag names without leading dashes; explicit flags win.
 Output formats: text for reading, csv and json for machines.  Exact values
 are serialized as "p/q" strings and quotient values as shortest round-trip
 decimal strings, so identical configurations produce byte-identical output.
+The exact N_n, delta_n and epsilon_n columns of quantities and dim reach
+tens of thousands of digits, and CPython 3.11 converts an int to decimal in
+quadratic time; each of their cells is rendered from the exact Decimal of
+the cell above it instead, in time linear in its length.
 Exit codes: 0 success, 1 usage problem, 2 violated window conditions.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import os
 import random
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .construction import DEFAULT_LEVEL_LIMIT, SequenceFamily, smallest_gap
+from .construction import (
+    DEFAULT_LEVEL_LIMIT,
+    LevelQuantities,
+    SequenceFamily,
+    smallest_gap,
+)
 from .dimension import DEFAULT_FIT_LIMIT, empirical_cover_fit, estimate_dimension
 from .engel import (
     DigitWord,
@@ -361,6 +372,64 @@ def _csv_rows(rows: list[list[str]]) -> str:
     return "\n".join(",".join(row) for row in rows)
 
 
+def _decimal_column() -> Callable[[int], str]:
+    """Return a function that renders the ints of one column, passed in
+    order, each exactly as str() renders it.
+
+    CPython 3.11 converts an int to decimal in time quadratic in its
+    length, and the exact N_n, delta_n and epsilon_n columns reach tens of
+    thousands of digits.  Each of their cells is, as a rule, an exact
+    multiple or divisor of the cell above it.  So the function keeps the
+    previous value and its exact Decimal, and derives the next Decimal by
+    one multiplication or division by the ratio of the two, in time linear
+    in the cell's length.  Only where that chain breaks is a value
+    converted in full.
+    """
+    # a private context with every digit kept: a step that would round
+    # raises instead, and the thread's own context is never touched
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded],
+    )
+    prev, prev_dec = 0, None
+
+    def render(x: int) -> str:
+        nonlocal prev, prev_dec
+        if x and prev and x % prev == 0:
+            dec = ctx.multiply(prev_dec, x // prev)
+        elif x and prev and prev % x == 0:
+            dec = ctx.divide_int(prev_dec, prev // x)
+        else:
+            dec = Decimal(x)
+        prev, prev_dec = x, dec
+        return str(dec)
+
+    return render
+
+
+def _fraction_column() -> Callable[[Fraction], str]:
+    """Like _decimal_column for Fractions, rendered as str(Fraction) does,
+    with one chain for the numerators and one for the denominators."""
+    numerators, denominators = _decimal_column(), _decimal_column()
+
+    def render(q: Fraction) -> str:
+        p = numerators(q.numerator)
+        return p if q.denominator == 1 else f"{p}/{denominators(q.denominator)}"
+
+    return render
+
+
+def _exact_cells(
+    levels: Iterable[LevelQuantities],
+) -> Iterator[tuple[LevelQuantities, str, str, str]]:
+    """Yield each level with its N_n, delta_n and epsilon_n cells."""
+    count, delta, gap = _decimal_column(), _fraction_column(), _fraction_column()
+    for lq in levels:
+        yield lq, count(lq.count), delta(lq.diameter_bound), gap(lq.gap_bound)
+
+
 def _family_header(family: SequenceFamily) -> list[str]:
     return [f"family: {family.description} ({family.kind})"]
 
@@ -563,7 +632,7 @@ def _run_level(cfg: RunConfig) -> tuple[int, str]:
 
 
 def _run_quantities(cfg: RunConfig) -> tuple[int, str]:
-    levels = list(cfg.family.iter_level_quantities(cfg.depth))
+    cells = _exact_cells(cfg.family.iter_level_quantities(cfg.depth))
     if cfg.output == "json":
         doc = {
             "command": "quantities",
@@ -573,25 +642,17 @@ def _run_quantities(cfg: RunConfig) -> tuple[int, str]:
                 {
                     "n": lq.n,
                     "m_n": lq.branch_counts[-1],
-                    "N_n": str(lq.count),
-                    "delta_n": str(lq.diameter_bound),
-                    "epsilon_n": str(lq.gap_bound),
+                    "N_n": count,
+                    "delta_n": delta,
+                    "epsilon_n": gap,
                 }
-                for lq in levels
+                for lq, count, delta, gap in cells
             ],
         }
         return 0, _json_doc(doc)
     rows = [["n", "m_n", "N_n", "delta_n", "epsilon_n"]]
-    for lq in levels:
-        rows.append(
-            [
-                str(lq.n),
-                str(lq.branch_counts[-1]),
-                str(lq.count),
-                str(lq.diameter_bound),
-                str(lq.gap_bound),
-            ]
-        )
+    for lq, *exact in cells:
+        rows.append([str(lq.n), str(lq.branch_counts[-1]), *exact])
     if cfg.output == "csv":
         return 0, _csv_rows(rows)
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -624,10 +685,10 @@ def _run_dim(cfg: RunConfig) -> tuple[int, str]:
 
     # machine formats carry the exact per-level quantities next to the
     # floating quotients; these strings grow quickly with n
-    exact = cfg.family.iter_level_quantities(cfg.n_max)
+    cells = _exact_cells(cfg.family.iter_level_quantities(cfg.n_max))
     if cfg.output == "csv":
         rows = [["n", "F_n", "upper_n", "lower_n", "N_n", "delta_n", "epsilon_n"]]
-        for lq in exact:
+        for lq, *exact in cells:
             i = lq.n - 1
             rows.append(
                 [
@@ -635,9 +696,7 @@ def _run_dim(cfg: RunConfig) -> tuple[int, str]:
                     _fmt_quot(report.formula[i]),
                     _fmt_quot(report.upper[i]),
                     _fmt_quot(report.lower[i]),
-                    str(lq.count),
-                    str(lq.diameter_bound),
-                    str(lq.gap_bound),
+                    *exact,
                 ]
             )
         return 0, _csv_rows(rows)
@@ -660,11 +719,11 @@ def _run_dim(cfg: RunConfig) -> tuple[int, str]:
                     if report.lower[lq.n - 1] is None
                     else _fmt_quot(report.lower[lq.n - 1])
                 ),
-                "N_n": str(lq.count),
-                "delta_n": str(lq.diameter_bound),
-                "epsilon_n": str(lq.gap_bound),
+                "N_n": count,
+                "delta_n": delta,
+                "epsilon_n": gap,
             }
-            for lq in exact
+            for lq, count, delta, gap in cells
         ],
     }
     return 0, _json_doc(doc)

@@ -60,8 +60,12 @@ class RatInterval:
     hi_closed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # Fraction endpoints are kept as they are: rebuilding them was a
+        # large share of the time taken to build a level of intervals
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):

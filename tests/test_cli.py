@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from engeldim import SequenceFamily, UsageError
-from engeldim.cli import build_parser, main, parse_config
+from engeldim.cli import build_parser, main, parse_config, run
 from engeldim.construction import DEFAULT_LEVEL_LIMIT
 
 
@@ -414,6 +415,23 @@ def test_huge_exact_values_survive_string_conversion():
     lines = result.stdout.strip().split("\n")
     assert len(lines) == 131
     assert len(lines[-1]) > 4300
+
+
+def test_dim_csv_renders_each_level_as_the_walk_yields_it():
+    # the peak was 28.3 MiB before the exact cells were rendered from the
+    # row above; a list of the 400 levels kept beside the rows adds about
+    # 5 MiB to it
+    cfg = parse_config(["dim", "--family", "geometric", "--s", "2", "--t", "2",
+                        "--n-max", "400", "--output", "csv"])
+    tracemalloc.start()
+    try:
+        code, text = run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(text) == 9_805_378
+    assert peak < 31 * 2**20
 
 
 def test_closed_stdout_exits_quietly():

@@ -174,6 +174,19 @@ def test_interval_validation_and_length():
     assert RatInterval(F(1, 4), F(1, 3)).length == F(1, 12)
 
 
+def test_interval_endpoints_become_exact_fractions():
+    class Half(F):
+        pass
+
+    lo, hi = F(1, 3), Half(1, 2)
+    interval = RatInterval(lo, hi)
+    assert interval.lo is lo
+    assert type(interval.hi) is F and interval.hi == F(1, 2)
+    unit = RatInterval(0, 1)
+    assert (type(unit.lo), type(unit.hi)) == (F, F)
+    assert str(unit) == "[0, 1)"
+
+
 def test_interval_encloses():
     outer = RatInterval(F(0), F(1), hi_closed=True)
     assert outer.encloses(RatInterval(F(1, 3), F(1, 2)))
