@@ -418,9 +418,9 @@ def test_huge_exact_values_survive_string_conversion():
 
 
 def test_dim_csv_renders_each_level_as_the_walk_yields_it():
-    # the peak was 28.3 MiB before the exact cells were rendered from the
-    # row above; a list of the 400 levels kept beside the rows adds about
-    # 5 MiB to it
+    # each level is rendered and dropped as the walk yields it, for a peak
+    # of about 28.3 MiB; a list of the 400 levels kept beside the rows
+    # adds about 5 MiB to it
     cfg = parse_config(["dim", "--family", "geometric", "--s", "2", "--t", "2",
                         "--n-max", "400", "--output", "csv"])
     tracemalloc.start()

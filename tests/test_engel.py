@@ -175,10 +175,10 @@ def test_interval_validation_and_length():
 
 
 def test_interval_endpoints_become_exact_fractions():
-    class Half(F):
+    class FractionSubclass(F):
         pass
 
-    lo, hi = F(1, 3), Half(1, 2)
+    lo, hi = F(1, 3), FractionSubclass(1, 2)
     interval = RatInterval(lo, hi)
     assert interval.lo is lo
     assert type(interval.hi) is F and interval.hi == F(1, 2)
