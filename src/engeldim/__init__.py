@@ -23,8 +23,6 @@ from .dimension import (
     empirical_cover_fit,
     estimate_dimension,
     formula_quotient,
-    lower_bound_quotient,
-    upper_bound_quotient,
 )
 from .engel import (
     DigitWord,
@@ -80,9 +78,7 @@ __all__ = [
     "formula_quotient",
     "is_admissible",
     "log_rational",
-    "lower_bound_quotient",
     "parse_rational",
     "reconstruct",
-    "upper_bound_quotient",
     "__version__",
 ]

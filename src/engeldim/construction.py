@@ -16,6 +16,7 @@ intervals of the same level dominates) are plain Fractions.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -93,6 +94,8 @@ class SequenceFamily:
     _s_fn: Callable[[int], Fraction]
     _t_fn: Callable[[int], Fraction]
     _diverges: bool | None  # True certified, False refuted, None unknown
+    # (s_n, t_n) for n = 1, 2, ... to walk; None walks s(n) and t(n)
+    _terms: Callable[[], Iterator[tuple[int | Fraction, int | Fraction]]] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -115,6 +118,7 @@ class SequenceFamily:
             _s_fn=lambda n: sc * sr**n,
             _t_fn=lambda n: tc * tr**n,
             _diverges=sr > 1,
+            _terms=lambda: zip(_geometric_terms(sc, sr), _geometric_terms(tc, tr)),
         )
 
     @classmethod
@@ -139,13 +143,10 @@ class SequenceFamily:
             raise DomainError(
                 f"{b}**({th}) is irrational; supply the values as explicit pairs"
             )
-        t_base = Fraction(root_num, root_den)
-        return cls(
+        return dataclasses.replace(
+            cls.geometric(b, Fraction(root_num, root_den)),
             kind="power-geometric",
             description=f"s_n = {b}^n, t_n = {b}^({th}*n)",
-            _s_fn=lambda n: b**n,
-            _t_fn=lambda n: t_base**n,
-            _diverges=b > 1,
         )
 
     @classmethod
@@ -208,41 +209,46 @@ class SequenceFamily:
 
     # -- the level walker ------------------------------------------------
 
-    def levels(self, depth: int) -> Iterator[tuple[Fraction, Fraction, int, int]]:
+    def levels(self, depth: int
+               ) -> Iterator[tuple[int | Fraction, int | Fraction, int, int]]:
         """Yield (s_k, t_k, j_min, j_max) for k = 1..depth in one pass.
 
         j_min..j_max is the digit window floor(s_k)+1..floor(s_k+t_k).  The
         conditions are verified as the walk goes: the first failing level
         raises its ConditionError after the levels before it were yielded.
-        Nothing is cached; each call evaluates every s_k and t_k once.
+        Nothing is cached: table and closure families evaluate every s_k
+        and t_k once, closed-form families step each from the term before.
+        A term equals and prints as s(k) or t(k), but is an int where the
+        family's coefficient and ratio are integral.
         """
-        for s_k, t_k in self._walk(depth):
-            yield s_k, t_k, floor(s_k) + 1, floor(s_k + t_k)
+        return self._walk(depth)
 
     def _walk(self, depth: int, first_failures: dict[int, int] | None = None
-              ) -> Iterator[tuple[Fraction, Fraction]]:
+              ) -> Iterator[tuple[int | Fraction, int | Fraction, int, int]]:
         # the one statement of both conditions, bounds at n checked before
         # growth at n - 1.  A failure raises, unless a dict is given: then
         # the first failing index of each condition is recorded under its
         # number and the walk goes on
-        s_prev = t_prev = None
-        for n in range(1, depth + 1):
-            s_n, t_n = self.s(n), self.t(n)
+        if self._terms is None:
+            terms = ((self.s(n), self.t(n)) for n in itertools.count(1))
+        else:
+            terms = self._terms()
+        # range first: zip stops before it draws a term past depth
+        for n, (s_n, t_n) in zip(range(1, depth + 1), terms):
             if not s_n >= t_n >= 2:
                 if first_failures is None:
                     raise ConditionError(
                         1, n, f"s_{n} >= t_{n} >= 2 fails: s={s_n}, t={t_n}"
                     )
                 first_failures.setdefault(1, n)
-            if s_prev is not None and s_n < s_prev + t_prev:
+            if n > 1 and s_n < top:  # top = s_{n-1} + t_{n-1}
                 if first_failures is None:
                     raise ConditionError(
-                        2, n - 1,
-                        f"s_{n} >= s_{n-1} + t_{n-1} fails: {s_n} < {s_prev + t_prev}",
+                        2, n - 1, f"s_{n} >= s_{n-1} + t_{n-1} fails: {s_n} < {top}"
                     )
                 first_failures.setdefault(2, n - 1)
-            yield s_n, t_n
-            s_prev, t_prev = s_n, t_n
+            top = s_n + t_n
+            yield s_n, t_n, floor(s_n) + 1, floor(top)
 
     def check_conditions(self, depth: int) -> ConditionReport:
         """Verify the window conditions exactly for all n <= depth.
@@ -449,8 +455,8 @@ class SequenceFamily:
         for (_, _, lo, hi), (_, _, j_min, j_max) in walk:
             count *= hi - lo + 1
             prod_min *= lo
-            yield count, Fraction(1, prod_min) * (
-                Fraction(1, j_min - 1) - Fraction(1, j_max))
+            # 1/(prod_min*(j_min - 1)) - 1/(prod_min*j_max) as one fraction
+            yield count, Fraction(j_max - j_min + 1, prod_min * (j_min - 1) * j_max)
 
     # -- a priori bounds ---------------------------------------------------
 
@@ -459,21 +465,21 @@ class SequenceFamily:
         (1/(s_1...s_n)) * 4*t_{n+1}/s_{n+1}**2."""
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
-        prod_s = Fraction(1)
-        for s_k, t_k, _, _ in self.levels(n + 1):
+        prod_s = 1
+        walk = itertools.pairwise(self.levels(n + 1))
+        for (s_k, _, _, _), (s_next, t_next, _, _) in walk:
             prod_s *= s_k
-        # prod_s ran through s_{n+1}: one more factor makes s_{n+1}**2
-        return 4 * t_k / (prod_s * s_k)
+        return Fraction(4 * t_next) / (prod_s * s_next * s_next)
 
     def gap_bound(self, n: int) -> Fraction:
         """Exact bound below every gap at level n:
         1/(2**(n+3) * s_1...s_n * s_n)."""
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
-        prod_s = Fraction(1)
+        prod_s = 1
         for s_k, _, _, _ in self.levels(n):
             prod_s *= s_k
-        return Fraction(1, 2 ** (n + 3)) / (prod_s * s_k)
+        return Fraction(1) / (prod_s * s_k * 2 ** (n + 3))
 
     def iter_level_quantities(self, depth: int) -> Iterator[LevelQuantities]:
         """Yield the quantities of levels 1..depth in one incremental sweep.
@@ -486,8 +492,10 @@ class SequenceFamily:
         """
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
-        prod_s = Fraction(1)
-        count = 1
+        # prod_s = s_1...s_n is an int while the terms are, and each bound
+        # divides a small Fraction by it, so reducing the bound takes gcds
+        # of big values with small ones only, never of two big values
+        prod_s = count = 1
         branches: list[int] = []
         walk = itertools.pairwise(self.levels(depth + 1))
         for n, ((s_n, _, lo, hi), (s_next, t_next, _, _)) in enumerate(walk, 1):
@@ -499,8 +507,8 @@ class SequenceFamily:
                 n=n,
                 count=count,
                 branch_counts=tuple(branches),
-                diameter_bound=4 * t_next / (prod_s * s_next**2),
-                gap_bound=Fraction(1, 2 ** (n + 3)) / (prod_s * s_n),
+                diameter_bound=Fraction(4 * t_next) / (prod_s * s_next * s_next),
+                gap_bound=Fraction(1) / (prod_s * s_n * 2 ** (n + 3)),
             )
 
     def level_quantities(self, n: int) -> LevelQuantities:
@@ -517,6 +525,17 @@ def smallest_gap(intervals: Iterable[RatInterval]) -> Fraction | None:
         (right.lo - left.hi for left, right in itertools.pairwise(intervals)),
         default=None,
     )
+
+
+def _geometric_terms(coef: Fraction, ratio: Fraction) -> Iterator[int | Fraction]:
+    # coef * ratio**n for n = 1, 2, ...: ints when both are integral, else
+    # Fractions, whose product with the ratio reduces by small gcds only
+    if coef.denominator == ratio.denominator == 1:
+        coef, ratio = coef.numerator, ratio.numerator
+    term = coef
+    while True:
+        term *= ratio
+        yield term
 
 
 def _prefix_state(digits: Iterable[int]) -> tuple[int, int]:

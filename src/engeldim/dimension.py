@@ -90,30 +90,6 @@ def formula_quotient(f: SequenceFamily, n: int) -> float:
     return num / den
 
 
-def upper_bound_quotient(f: SequenceFamily, n: int) -> float:
-    """log N_n over -log delta_n, both quantities exact."""
-    if n < 1:
-        raise DomainError(f"level must be >= 1, got {n}")
-    count = f.word_count(n)
-    delta = f.diameter_bound(n)
-    return log_rational(count) / -log_rational(delta)
-
-
-def lower_bound_quotient(f: SequenceFamily, n: int) -> float:
-    """log(m_1...m_{n-1}) over -log(m_n * epsilon_n); needs n >= 2.
-
-    At n = 1 the numerator product is empty and the quotient is undefined.
-    """
-    if n < 2:
-        raise DomainError(f"lower quotient needs level >= 2, got {n}")
-    num = 0.0
-    for k in range(1, n):
-        num += log_rational(f.branch_count(k))
-    m_n = f.branch_count(n)
-    eps = f.gap_bound(n)
-    return num / -log_rational(m_n * eps)
-
-
 def estimate_dimension(f: SequenceFamily, n_max: int,
                        tail_window: int | None = None) -> DimensionReport:
     """Evaluate all three sequences up to n_max in one pass.
@@ -201,8 +177,12 @@ def empirical_cover_fit(f: SequenceFamily, depths: Sequence[int],
             points[d] = (-log_rational(length), log_rational(count))
     xs = [points[d][0] for d in depth_list]
     ys = [points[d][1] for d in depth_list]
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
+    # plain left-to-right sums: sum() of floats is compensated from
+    # Python 3.12 on, which would make the slope depend on the interpreter
+    sxx = sxy = 0.0
+    for x, y in zip(xs, ys):
+        sxx += x * x
+        sxy += x * y
     return CoverFitResult(
         slope=sxy / sxx,
         depths=depth_list,

@@ -639,3 +639,109 @@ def test_walker_errors_agree_with_the_validation_loop():
             if depth < len(pairs):
                 reported = first_reported(fam.check_conditions(depth), depth)
                 assert reported == (expected[:2] if expected else None), (pairs, depth)
+
+
+# -- the stepping walker of closed-form families ---------------------------------
+
+
+STEP_RATIOS = (F(2), F(3), F(4), F(7), F(4, 3), F(3, 2), F(5, 2), F(7, 3), F(10, 3))
+STEP_COEFS = (F(1), F(2), F(3), F(9), F(3, 2), F(9, 2), F(5, 4), F(8, 3))
+
+
+def stepped_families(count: int = 12):
+    """(family, s stream integral, t stream integral) for seeded geometric
+    families whose conditions hold through level 61, then power-geometric
+    ones, and two whose coefficient cancels against the ratio's denominator."""
+    rng = random.Random(20261018)
+    found = []
+    while len(found) < count:
+        s_ratio, t_ratio = rng.choice(STEP_RATIOS), rng.choice(STEP_RATIOS)
+        s_coef, t_coef = rng.choice(STEP_COEFS), rng.choice(STEP_COEFS)
+        fam = SequenceFamily.geometric(s_ratio, t_ratio, s_coef, t_coef)
+        if fam.check_conditions(60).all_ok:
+            found.append((fam, s_ratio.denominator == s_coef.denominator == 1,
+                          t_ratio.denominator == t_coef.denominator == 1))
+    assert any(s_int for _, s_int, _ in found)
+    assert not all(s_int for _, s_int, _ in found)
+    found += [
+        (SequenceFamily.power_geometric(8, F(1, 3)), True, True),
+        (SequenceFamily.power_geometric(F(125, 8), F(1, 3)), False, False),
+        (SequenceFamily.power_geometric(F(27, 8), F(2, 3)), False, False),
+        # 9 * (4/3)^n: s_1 = 12 and s_2 = 16 are integers, s_3 = 64/3
+        (SequenceFamily.geometric(F(4, 3), 1, s_coef=9, t_coef=2), False, True),
+        (SequenceFamily.geometric(F(4, 3), F(4, 3), F(9, 2), F(3, 2)), False, False),
+    ]
+    return found
+
+
+def test_stepped_levels_equal_and_print_as_the_evaluated_terms():
+    for fam, s_int, t_int in stepped_families():
+        rows = list(fam.levels(60))
+        assert len(rows) == 60
+        for k, (s_k, t_k, j_min, j_max) in enumerate(rows, start=1):
+            s, t = fam.s(k), fam.t(k)
+            assert (s_k, t_k) == (s, t), (fam.description, k)
+            assert (str(s_k), str(t_k)) == (str(s), str(t)), (fam.description, k)
+            assert (j_min, j_max) == (floor(s) + 1, floor(s + t)), (fam.description, k)
+            assert (type(s_k) is int, type(t_k) is int) == (s_int, t_int)
+
+
+GEOMETRIC_VIOLATIONS = [
+    # (s_ratio, t_ratio, s_coef, t_coef)
+    (3, 2, 1, 2),  # t_1 = 4 above s_1 = 3
+    (3, 2, 1, 3),
+    (2, 3, 1, 1),
+    (2, F(1, 2), 8, 8),  # t_3 = 1 below 2
+    (F(2, 3), 1, 9, 2),  # s_2 = 4 < s_1 + t_1 = 8; s_2 steps from 6 * 2/3
+    (F(3, 2), F(3, 2), 4, 4),  # s_2 = 9 < s_1 + t_1 = 12
+    (2, 3, 100, 1),  # t_n overtakes s_n near level 12
+    (F(5, 4), F(3, 2), 16, 3),
+]
+
+
+def test_stepped_walker_errors_agree_with_the_validation_loop():
+    seen = set()
+    for params in GEOMETRIC_VIOLATIONS:
+        fam = SequenceFamily.geometric(*params)
+        for depth in range(1, 17):
+            expected = condition_outcome(lambda: require_conditions_oracle(fam, depth))
+            calls = [lambda: list(fam.levels(depth)), lambda: fam.word_count(depth)]
+            if depth >= 2:
+                calls += [
+                    lambda: estimate_dimension(fam, depth - 1),
+                    lambda: list(fam.iter_level_quantities(depth - 1)),
+                    lambda: fam.diameter_bound(depth - 1),
+                    lambda: empirical_cover_fit(fam, [1, depth - 1]),
+                ]
+            for call in calls:
+                assert condition_outcome(call) == expected, (params, depth)
+            reported = first_reported(fam.check_conditions(depth), depth)
+            assert reported == (expected[:2] if expected else None), (params, depth)
+            if expected:
+                seen.add(expected)
+    assert {condition for condition, _, _ in seen} == {1, 2}
+    assert any(index > 10 for _, index, _ in seen)
+    # the stepped s_2 of 9 * (2/3)^n prints reduced
+    assert (2, 1, "s_2 >= s_1 + t_1 fails: 4 < 8") in seen
+
+
+def test_closed_form_walks_evaluate_no_sequence_value(monkeypatch):
+    calls = collections.Counter()
+    for name in ("s", "t"):
+        evaluate = getattr(SequenceFamily, name)
+
+        def counted(self, n, name=name, evaluate=evaluate):
+            calls[name] += 1
+            return evaluate(self, n)
+
+        monkeypatch.setattr(SequenceFamily, name, counted)
+    for fam in (SequenceFamily.geometric(4, 2),
+                SequenceFamily.geometric(F(10, 3), F(7, 3), 3, 2),
+                SequenceFamily.power_geometric(8, F(1, 3))):
+        estimate_dimension(fam, 40)
+        list(fam.iter_level_quantities(40))
+        fam.check_conditions(40)
+    assert calls == {}
+    # the counter does see the evaluations of a table family
+    list(SequenceFamily.from_pairs([(4, 2)]).levels(1))
+    assert calls == {"s": 1, "t": 1}

@@ -12,8 +12,6 @@ from engeldim import (
     estimate_dimension,
     formula_quotient,
     log_rational,
-    lower_bound_quotient,
-    upper_bound_quotient,
 )
 
 # sampled levels for closed-form comparisons; the acceptance suite sweeps
@@ -31,6 +29,40 @@ def closed_form_22(n: int) -> float:
 
 def closed_form_21(n: int) -> float:
     return n / ((n + 1) * (n + 2) / 2 + n)
+
+
+# The covering and separation quotients of one level, from s(n) and t(n)
+# alone: O(n) evaluations per level, sharing nothing with the level walker
+# that estimate_dimension reads.
+
+
+def oracle_branch_count(f: SequenceFamily, k: int) -> int:
+    return math.floor(f.s(k) + f.t(k)) - math.floor(f.s(k))
+
+
+def oracle_prod_s(f: SequenceFamily, n: int) -> F:
+    return math.prod((f.s(k) for k in range(1, n + 1)), start=F(1))
+
+
+def upper_bound_quotient(f: SequenceFamily, n: int) -> float:
+    """log N_n over -log delta_n, both quantities exact."""
+    count = math.prod(oracle_branch_count(f, k) for k in range(1, n + 1))
+    delta = 4 * f.t(n + 1) / (oracle_prod_s(f, n) * f.s(n + 1) ** 2)
+    return log_rational(count) / -log_rational(delta)
+
+
+def lower_bound_quotient(f: SequenceFamily, n: int) -> float:
+    """log(m_1...m_{n-1}) over -log(m_n * epsilon_n); needs n >= 2.
+
+    At n = 1 the numerator product is empty and the quotient is undefined.
+    """
+    if n < 2:
+        raise ValueError(f"lower quotient needs level >= 2, got {n}")
+    num = 0.0
+    for k in range(1, n):
+        num += log_rational(oracle_branch_count(f, k))
+    eps = 1 / (2 ** (n + 3) * oracle_prod_s(f, n) * f.s(n))
+    return num / -log_rational(oracle_branch_count(f, n) * eps)
 
 
 # -- formula quotient ------------------------------------------------------
@@ -80,7 +112,8 @@ def test_lower_bound_quotient_known_values(fam42, fam22):
 
 
 def test_lower_bound_quotient_undefined_at_level_one(fam42):
-    with pytest.raises(DomainError):
+    assert estimate_dimension(fam42, 1).lower == (None,)
+    with pytest.raises(ValueError):
         lower_bound_quotient(fam42, 1)
 
 

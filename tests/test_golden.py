@@ -11,10 +11,17 @@ stored, next to the exit code and the stderr text.  They cover quantities
 in all three formats, dim as csv and json, an integer, a rational and a
 power-geometric family, and a rational pair table whose exact columns are
 not multiples or divisors of the row before.
+
+The same cases and digests are also replayed through `python -m engeldim`
+under every python3.10 to python3.13 on PATH, since the output must not
+depend on the interpreter.
 """
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -22,6 +29,7 @@ import pytest
 from engeldim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 CASES = json.loads((GOLDEN / "cases.json").read_bytes())
 DIGESTS = json.loads((GOLDEN / "digests.json").read_bytes())
 
@@ -44,3 +52,29 @@ def test_cli_matches_golden_digest(case, capsys):
     assert len(out) == case["stdout_bytes"]
     assert hashlib.sha256(out).hexdigest() == case["stdout_sha256"]
     assert captured.err == case["stderr"]
+
+
+@pytest.mark.parametrize("python", [f"python3.{minor}" for minor in range(10, 14)])
+def test_every_interpreter_replays_the_goldens(python):
+    exe = shutil.which(python)
+    # a version manager's shim can be on PATH without the interpreter behind it
+    if exe is None or subprocess.run([exe, "-c", "pass"], capture_output=True,
+                                     timeout=60).returncode != 0:
+        pytest.skip(f"{python} does not run here")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    mismatched = []
+    for case in CASES + DIGESTS:
+        proc = subprocess.run([exe, "-m", "engeldim", *case["argv"]], env=env,
+                              capture_output=True, timeout=300)
+        if "stdout_sha256" in case:
+            out = (len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest())
+            expected = (case["stdout_bytes"], case["stdout_sha256"])
+        else:
+            out = proc.stdout
+            expected = (GOLDEN / f"{case['name']}.out").read_bytes()
+        if (proc.returncode, out, proc.stderr.decode()) != (
+                case["exit_code"], expected, case["stderr"]):
+            mismatched.append(case["name"])
+    assert mismatched == []
