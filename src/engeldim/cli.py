@@ -13,6 +13,12 @@ The exact N_n, delta_n and epsilon_n columns of quantities and dim reach
 tens of thousands of digits, and CPython 3.11 converts an int to decimal in
 quadratic time; each of their cells is rendered from the exact Decimal of
 the cell above it instead, in time linear in its length.
+
+Each command returns a Report, one row source per format, and one writer
+per format writes the chosen source to stdout row by row, so memory does
+not grow with the size of the output.  A command finishes every step that
+can fail before its first row is written: when it fails, nothing reaches
+stdout.
 Exit codes: 0 success, 1 usage problem, 2 violated window conditions.
 """
 
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
+import itertools
 import json
 import os
 import random
@@ -28,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .construction import (
     DEFAULT_LEVEL_LIMIT,
@@ -39,6 +46,7 @@ from .construction import (
 from .dimension import DEFAULT_FIT_LIMIT, empirical_cover_fit, estimate_dimension
 from .engel import (
     DigitWord,
+    RatInterval,
     cylinder_interval,
     cylinder_length,
     engel_digits,
@@ -364,14 +372,6 @@ def _fmt_quot(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
-
-
-def _csv_rows(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(row) for row in rows)
-
-
 def _decimal_column() -> Callable[[int], str]:
     """Return a function that renders the ints of one column, passed in
     order, each exactly as str() renders it.
@@ -430,52 +430,145 @@ def _exact_cells(
         yield lq, count(lq.count), delta(lq.diameter_bound), gap(lq.gap_bound)
 
 
-def _family_header(family: SequenceFamily) -> list[str]:
-    return [f"family: {family.description} ({family.kind})"]
+# -- reports and their writers ---------------------------------------------
 
 
-def _family_doc(family: SequenceFamily) -> dict:
-    return {"kind": family.kind, "description": family.description}
+# a NamedTuple, not a frozen dataclass, which costs a millisecond more to
+# create on every start of the program
+class Report(NamedTuple):
+    """What a command found, before any of it is written: the exit code
+    and one row source per output format.
+
+    Only the chosen format's source is called, so the others are never
+    built.  text yields lines, csv yields rows of cells with the header
+    first, and json returns the document, whose long lists are _Streams.
+    """
+
+    code: int
+    text: Callable[[], Iterable[str]]
+    csv: Callable[[], Iterable[Sequence[str]]]
+    json: Callable[[], dict]
+
+
+def _write_text(lines: Iterable[str], out: TextIO) -> None:
+    for line in lines:
+        out.write(line + "\n")
+
+
+def _write_csv(rows: Iterable[Sequence[str]], out: TextIO) -> None:
+    for row in rows:
+        out.write(",".join(row) + "\n")
+
+
+class _Stream(list):
+    """A list that json's encoder reads as it goes: items are drawn from an
+    iterator only as they are encoded.  The encoder asks a list whether it
+    is empty before iterating it, so the first item is drawn up front."""
+
+    def __init__(self, items: Iterable):
+        self._items = iter(items)
+        self._head = list(itertools.islice(self._items, 1))
+
+    def __bool__(self) -> bool:
+        return bool(self._head)
+
+    def __iter__(self) -> Iterator:
+        return itertools.chain(self._head, self._items)
+
+
+def _write_json(doc: dict, out: TextIO) -> None:
+    # the encoder's pieces join to json.dumps(doc, indent=2), so writing
+    # them as they come gives the same bytes.  They go out 64 at a time, a
+    # few rows, as one write per piece costs more than encoding it
+    pieces = _JSON_ENCODER.iterencode(doc)
+    while text := "".join(itertools.islice(pieces, 64)):
+        out.write(text)
+    out.write("\n")
+
+
+_JSON_ENCODER = json.JSONEncoder(indent=2)
+_WRITERS = {"text": _write_text, "csv": _write_csv, "json": _write_json}
+
+
+def _csv_of(rows: Iterable[dict]) -> Iterator[list[str]]:
+    """csv rows of flat json rows: the first row's keys as the header, then
+    each row's values, null as an empty cell and booleans as in json."""
+    for index, row in enumerate(rows):
+        if index == 0:
+            yield list(row)
+        yield [
+            "" if v is None else _fmt_bool(v) if isinstance(v, bool) else str(v)
+            for v in row.values()
+        ]
+
+
+def _endpoints(intervals: Sequence[RatInterval]) -> _Stream:
+    return _Stream({"lo": str(iv.lo), "hi": str(iv.hi)} for iv in intervals)
+
+
+def _report(cfg: RunConfig, text, csv, json, code: int = 0) -> Report:
+    """The Report of cfg's command from its own sources: the json document
+    is opened by the command and the family, the text by the family line."""
+    head, lines = {"command": cfg.command}, []
+    if cfg.family is not None:
+        kind, description = cfg.family.kind, cfg.family.description
+        head["family"] = {"kind": kind, "description": description}
+        lines.append(f"family: {description} ({kind})")
+    return Report(
+        code,
+        text=lambda: itertools.chain(lines, text()),
+        csv=csv,
+        json=lambda: {**head, **json()},
+    )
 
 
 # -- command runners -----------------------------------------------------
 
 
-def _run_digits(cfg: RunConfig) -> tuple[int, str]:
+def _run_digits(cfg: RunConfig) -> Report:
     result = engel_digits(cfg.x, cfg.depth)
     digits = list(result.digits)
-    if cfg.output == "json":
-        doc = {
-            "command": "digits",
+    return _report(
+        cfg,
+        text=lambda: [
+            f"x: {cfg.x}",
+            f"digits: {digits}",
+            f"count: {len(digits)}",
+            f"terminated: {_fmt_bool(result.terminated)}",
+            f"remainder: {result.remainder}",
+        ],
+        csv=lambda: _csv_of({"k": k, "digit": d} for k, d in enumerate(digits, 1)),
+        json=lambda: {
             "x": str(cfg.x),
             "depth": cfg.depth,
             "digits": digits,
             "terminated": result.terminated,
             "remainder": str(result.remainder),
-        }
-        return 0, _json_doc(doc)
-    if cfg.output == "csv":
-        rows = [["k", "digit"]]
-        rows += [[str(k), str(d)] for k, d in enumerate(digits, start=1)]
-        return 0, _csv_rows(rows)
-    lines = [
-        f"x: {cfg.x}",
-        f"digits: {digits}",
-        f"count: {len(digits)}",
-        f"terminated: {_fmt_bool(result.terminated)}",
-        f"remainder: {result.remainder}",
-    ]
-    return 0, "\n".join(lines)
+        },
+    )
 
 
-def _run_cylinder(cfg: RunConfig) -> tuple[int, str]:
+def _run_cylinder(cfg: RunConfig) -> Report:
     word = DigitWord(cfg.word)
     interval = cylinder_interval(word)
     length = cylinder_length(word)
     value = reconstruct(word)
-    if cfg.output == "json":
-        doc = {
-            "command": "cylinder",
+    return _report(
+        cfg,
+        text=lambda: [
+            f"word: {list(word)}",
+            f"interval: {interval}",
+            f"length: {length}",
+            f"reconstruction: {value}",
+        ],
+        csv=lambda: _csv_of([{
+            "word": " ".join(str(d) for d in word),
+            "lo": interval.lo,
+            "hi": interval.hi,
+            "length": length,
+            "reconstruction": value,
+        }]),
+        json=lambda: {
             "word": list(word),
             "lo": str(interval.lo),
             "hi": str(interval.hi),
@@ -483,287 +576,215 @@ def _run_cylinder(cfg: RunConfig) -> tuple[int, str]:
             "hi_closed": interval.hi_closed,
             "length": str(length),
             "reconstruction": str(value),
-        }
-        return 0, _json_doc(doc)
-    if cfg.output == "csv":
-        rows = [
-            ["word", "lo", "hi", "length", "reconstruction"],
-            [
-                " ".join(str(d) for d in word),
-                str(interval.lo),
-                str(interval.hi),
-                str(length),
-                str(value),
-            ],
-        ]
-        return 0, _csv_rows(rows)
-    lines = [
-        f"word: {list(word)}",
-        f"interval: {interval}",
-        f"length: {length}",
-        f"reconstruction: {value}",
-    ]
-    return 0, "\n".join(lines)
+        },
+    )
 
 
-def _run_check(cfg: RunConfig) -> tuple[int, str]:
+def _run_check(cfg: RunConfig) -> Report:
     report = cfg.family.check_conditions(cfg.depth)
-    code = 0 if report.all_ok else 2
-    if cfg.output == "json":
-        doc = {
-            "command": "check",
-            "family": _family_doc(cfg.family),
-            "depth": report.depth,
-            "bounds_ok": report.bounds_ok,
-            "bounds_violation": report.bounds_violation,
-            "growth_ok": report.growth_ok,
-            "growth_violation": report.growth_violation,
-            "divergence": report.divergence,
-            "all_ok": report.all_ok,
-        }
-        return code, _json_doc(doc)
-    if cfg.output == "csv":
-        rows = [
-            [
-                "depth",
-                "bounds_ok",
-                "bounds_violation",
-                "growth_ok",
-                "growth_violation",
-                "divergence",
-            ],
-            [
-                str(report.depth),
-                _fmt_bool(report.bounds_ok),
-                "" if report.bounds_violation is None else str(report.bounds_violation),
-                _fmt_bool(report.growth_ok),
-                "" if report.growth_violation is None else str(report.growth_violation),
-                report.divergence,
-            ],
-        ]
-        return code, _csv_rows(rows)
+    fields = {
+        "depth": report.depth,
+        "bounds_ok": report.bounds_ok,
+        "bounds_violation": report.bounds_violation,
+        "growth_ok": report.growth_ok,
+        "growth_violation": report.growth_violation,
+        "divergence": report.divergence,
+    }
 
     def verdict(ok: bool, index: int | None) -> str:
         return "ok" if ok else f"FAIL at n = {index}"
 
-    lines = _family_header(cfg.family) + [
-        f"depth checked: {report.depth}",
-        f"bounds s_n >= t_n >= 2: {verdict(report.bounds_ok, report.bounds_violation)}",
-        "growth s_{n+1} >= s_n + t_n: "
-        + verdict(report.growth_ok, report.growth_violation),
-        f"divergence of s_n: {report.divergence}",
-        f"all conditions: {'ok' if report.all_ok else 'FAIL'}",
-    ]
-    return code, "\n".join(lines)
+    return _report(
+        cfg,
+        text=lambda: [
+            f"depth checked: {report.depth}",
+            "bounds s_n >= t_n >= 2: "
+            + verdict(report.bounds_ok, report.bounds_violation),
+            "growth s_{n+1} >= s_n + t_n: "
+            + verdict(report.growth_ok, report.growth_violation),
+            f"divergence of s_n: {report.divergence}",
+            f"all conditions: {'ok' if report.all_ok else 'FAIL'}",
+        ],
+        csv=lambda: _csv_of([fields]),
+        json=lambda: {**fields, "all_ok": report.all_ok},
+        code=0 if report.all_ok else 2,
+    )
 
 
-def _run_level(cfg: RunConfig) -> tuple[int, str]:
-    family = cfg.family
+def _run_level(cfg: RunConfig) -> Report:
     n = cfg.depth
     if cfg.sample is not None:
         rng = random.Random(cfg.seed)
-        count, words, intervals = family.sample_level(n, cfg.sample, rng)
-        if cfg.output == "json":
-            doc = {
-                "command": "level",
-                "family": _family_doc(family),
+        count, words, intervals = cfg.family.sample_level(n, cfg.sample, rng)
+        return _report(
+            cfg,
+            text=lambda: [
+                f"level: {n}",
+                f"count: {count}",
+                f"sample: {cfg.sample} (seed {cfg.seed})",
+            ] + [
+                f"  {','.join(str(d) for d in w)} -> {iv}"
+                for w, iv in zip(words, intervals)
+            ],
+            csv=lambda: _csv_of(
+                {
+                    "index": idx,
+                    "word": " ".join(str(d) for d in w),
+                    "lo": iv.lo,
+                    "hi": iv.hi,
+                    "length": iv.length,
+                }
+                for idx, (w, iv) in enumerate(zip(words, intervals), start=1)
+            ),
+            json=lambda: {
                 "n": n,
                 "count": str(count),
                 "sample": cfg.sample,
                 "seed": cfg.seed,
                 "words": [list(w) for w in words],
-                "intervals": [
-                    {"lo": str(iv.lo), "hi": str(iv.hi)} for iv in intervals
-                ],
-            }
-            return 0, _json_doc(doc)
-        if cfg.output == "csv":
-            rows = [["index", "word", "lo", "hi", "length"]]
-            for idx, (w, iv) in enumerate(zip(words, intervals), start=1):
-                rows.append(
-                    [
-                        str(idx),
-                        " ".join(str(d) for d in w),
-                        str(iv.lo),
-                        str(iv.hi),
-                        str(iv.length),
-                    ]
-                )
-            return 0, _csv_rows(rows)
-        lines = _family_header(family) + [
-            f"level: {n}",
-            f"count: {count}",
-            f"sample: {cfg.sample} (seed {cfg.seed})",
-        ]
-        for w, iv in zip(words, intervals):
-            lines.append(f"  {','.join(str(d) for d in w)} -> {iv}")
-        return 0, "\n".join(lines)
+                "intervals": _endpoints(intervals),
+            },
+        )
 
-    intervals = family.level_intervals(n, cfg.limit)
+    intervals = cfg.family.level_intervals(n, cfg.limit)
     gap = smallest_gap(intervals)
     # the all-minimal word comes last; with the smallest digit product its
     # interval is the longest
     max_length = intervals[-1].length
-    if cfg.output == "json":
-        doc = {
-            "command": "level",
-            "family": _family_doc(family),
+
+    def text() -> Iterator[str]:
+        yield f"level: {n}"
+        yield f"count: {len(intervals)}"
+        yield f"min gap: {'none' if gap is None else gap}"
+        yield f"max length: {max_length}"
+        yield "intervals:"
+        for iv in intervals:
+            yield f"  {iv}"
+
+    def csv() -> Iterator[list[str]]:
+        yield ["index", "lo", "hi", "length"]
+        for idx, iv in enumerate(intervals, start=1):
+            yield [str(idx), str(iv.lo), str(iv.hi), str(iv.length)]
+
+    return _report(
+        cfg,
+        text=text,
+        csv=csv,
+        json=lambda: {
             "n": n,
             "count": len(intervals),
             "min_gap": None if gap is None else str(gap),
             "max_length": str(max_length),
-            "intervals": [{"lo": str(iv.lo), "hi": str(iv.hi)} for iv in intervals],
-        }
-        return 0, _json_doc(doc)
-    if cfg.output == "csv":
-        rows = [["index", "lo", "hi", "length"]]
-        for idx, iv in enumerate(intervals, start=1):
-            rows.append([str(idx), str(iv.lo), str(iv.hi), str(iv.length)])
-        return 0, _csv_rows(rows)
-    lines = _family_header(family) + [
-        f"level: {n}",
-        f"count: {len(intervals)}",
-        f"min gap: {'none' if gap is None else gap}",
-        f"max length: {max_length}",
-        "intervals:",
-    ]
-    lines += [f"  {iv}" for iv in intervals]
-    return 0, "\n".join(lines)
+            "intervals": _endpoints(intervals),
+        },
+    )
 
 
-def _run_quantities(cfg: RunConfig) -> tuple[int, str]:
-    cells = _exact_cells(cfg.family.iter_level_quantities(cfg.depth))
-    if cfg.output == "json":
-        doc = {
-            "command": "quantities",
-            "family": _family_doc(cfg.family),
-            "depth": cfg.depth,
-            "levels": [
-                {
-                    "n": lq.n,
-                    "m_n": lq.branch_counts[-1],
-                    "N_n": count,
-                    "delta_n": delta,
-                    "epsilon_n": gap,
-                }
-                for lq, count, delta, gap in cells
-            ],
-        }
-        return 0, _json_doc(doc)
-    rows = [["n", "m_n", "N_n", "delta_n", "epsilon_n"]]
-    for lq, *exact in cells:
-        rows.append([str(lq.n), str(lq.branch_counts[-1]), *exact])
-    if cfg.output == "csv":
-        return 0, _csv_rows(rows)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = _family_header(cfg.family)
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return 0, "\n".join(lines)
+def _run_quantities(cfg: RunConfig) -> Report:
+    # the last row reads level depth + 1; walking the levels first makes a
+    # violation or a short table raise before anything is written
+    for _ in cfg.family.levels(cfg.depth + 1):
+        pass
 
-
-def _run_dim(cfg: RunConfig) -> tuple[int, str]:
-    report = estimate_dimension(cfg.family, cfg.n_max, cfg.tail_window)
-    if cfg.output == "text":
-        lines = _family_header(cfg.family) + [
-            f"n_max: {report.n_max}",
-            f"tail window: {report.tail_window}",
-            f"estimated dim: {_fmt_quot(report.estimated_dim)}",
-            f"tail min formula quotient: {_fmt_quot(report.tail_min_formula)}",
-            f"monotone tail: {_fmt_bool(report.monotone_tail)}",
-            f"note: {report.caveat}",
-        ]
-        shown = min(10, report.n_max)
-        lines.append(f"last {shown} levels (n, formula, upper, lower):")
-        for n in range(report.n_max - shown + 1, report.n_max + 1):
-            lines.append(
-                f"  {n}  {_fmt_quot(report.formula[n - 1])}"
-                f"  {_fmt_quot(report.upper[n - 1])}"
-                f"  {_fmt_quot(report.lower[n - 1]) or 'none'}"
-            )
-        return 0, "\n".join(lines)
-
-    # machine formats carry the exact per-level quantities next to the
-    # floating quotients; these strings grow quickly with n
-    cells = _exact_cells(cfg.family.iter_level_quantities(cfg.n_max))
-    if cfg.output == "csv":
-        rows = [["n", "F_n", "upper_n", "lower_n", "N_n", "delta_n", "epsilon_n"]]
-        for lq, *exact in cells:
-            i = lq.n - 1
-            rows.append(
-                [
-                    str(lq.n),
-                    _fmt_quot(report.formula[i]),
-                    _fmt_quot(report.upper[i]),
-                    _fmt_quot(report.lower[i]),
-                    *exact,
-                ]
-            )
-        return 0, _csv_rows(rows)
-    doc = {
-        "command": "dim",
-        "family": _family_doc(cfg.family),
-        "n_max": report.n_max,
-        "tail_window": report.tail_window,
-        "estimated_dim": _fmt_quot(report.estimated_dim),
-        "tail_min_formula": _fmt_quot(report.tail_min_formula),
-        "monotone_tail": report.monotone_tail,
-        "caveat": report.caveat,
-        "levels": [
-            {
+    def levels() -> Iterator[dict]:
+        cells = _exact_cells(cfg.family.iter_level_quantities(cfg.depth))
+        for lq, count, delta, gap in cells:
+            yield {
                 "n": lq.n,
-                "F_n": _fmt_quot(report.formula[lq.n - 1]),
-                "upper_n": _fmt_quot(report.upper[lq.n - 1]),
-                "lower_n": (
-                    None
-                    if report.lower[lq.n - 1] is None
-                    else _fmt_quot(report.lower[lq.n - 1])
-                ),
+                "m_n": lq.branch_counts[-1],
                 "N_n": count,
                 "delta_n": delta,
                 "epsilon_n": gap,
             }
-            for lq, count, delta, gap in cells
-        ],
-    }
-    return 0, _json_doc(doc)
+
+    def text() -> Iterator[str]:
+        # each column is right-justified to its widest cell, which is known
+        # only after the last row, so the rows are held
+        rows = list(_csv_of(levels()))
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+        for row in rows:
+            yield "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+
+    return _report(
+        cfg,
+        text=text,
+        csv=lambda: _csv_of(levels()),
+        json=lambda: {"depth": cfg.depth, "levels": _Stream(levels())},
+    )
 
 
-def _run_cover_fit(cfg: RunConfig) -> tuple[int, str]:
+def _run_dim(cfg: RunConfig) -> Report:
+    report = estimate_dimension(cfg.family, cfg.n_max, cfg.tail_window)
+
+    def text() -> Iterator[str]:
+        yield f"n_max: {report.n_max}"
+        yield f"tail window: {report.tail_window}"
+        yield f"estimated dim: {_fmt_quot(report.estimated_dim)}"
+        yield f"tail min formula quotient: {_fmt_quot(report.tail_min_formula)}"
+        yield f"monotone tail: {_fmt_bool(report.monotone_tail)}"
+        yield f"note: {report.caveat}"
+        shown = min(10, report.n_max)
+        yield f"last {shown} levels (n, formula, upper, lower):"
+        for n in range(report.n_max - shown + 1, report.n_max + 1):
+            yield (
+                f"  {n}  {_fmt_quot(report.formula[n - 1])}"
+                f"  {_fmt_quot(report.upper[n - 1])}"
+                f"  {_fmt_quot(report.lower[n - 1]) or 'none'}"
+            )
+
+    # machine formats carry the exact per-level quantities next to the
+    # floating quotients; these strings grow quickly with n
+    def levels() -> Iterator[dict]:
+        cells = _exact_cells(cfg.family.iter_level_quantities(cfg.n_max))
+        for lq, count, delta, gap in cells:
+            i = lq.n - 1
+            yield {
+                "n": lq.n,
+                "F_n": _fmt_quot(report.formula[i]),
+                "upper_n": _fmt_quot(report.upper[i]),
+                "lower_n": _fmt_quot(report.lower[i]) or None,
+                "N_n": count,
+                "delta_n": delta,
+                "epsilon_n": gap,
+            }
+
+    return _report(
+        cfg,
+        text=text,
+        csv=lambda: _csv_of(levels()),
+        json=lambda: {
+            "n_max": report.n_max,
+            "tail_window": report.tail_window,
+            "estimated_dim": _fmt_quot(report.estimated_dim),
+            "tail_min_formula": _fmt_quot(report.tail_min_formula),
+            "monotone_tail": report.monotone_tail,
+            "caveat": report.caveat,
+            "levels": _Stream(levels()),
+        },
+    )
+
+
+def _run_cover_fit(cfg: RunConfig) -> Report:
     result = empirical_cover_fit(cfg.family, cfg.depths, cfg.limit)
-    if cfg.output == "json":
-        doc = {
-            "command": "cover-fit",
-            "family": _family_doc(cfg.family),
-            "depths": list(result.depths),
-            "slope": _fmt_quot(result.slope),
-            "points": [
-                {
-                    "depth": d,
-                    "log_count": _fmt_quot(y),
-                    "log_inv_diameter": _fmt_quot(x),
-                }
-                for d, y, x in zip(
-                    result.depths, result.log_counts, result.log_inv_diameters
-                )
-            ],
-        }
-        return 0, _json_doc(doc)
-    if cfg.output == "csv":
-        rows = [["depth", "log_count", "log_inv_diameter", "slope"]]
-        for d, y, x in zip(
-            result.depths, result.log_counts, result.log_inv_diameters
-        ):
-            rows.append([str(d), _fmt_quot(y), _fmt_quot(x), _fmt_quot(result.slope)])
-        return 0, _csv_rows(rows)
-    lines = _family_header(cfg.family) + [
-        f"depths: {', '.join(str(d) for d in result.depths)}",
-        f"slope: {_fmt_quot(result.slope)}",
-        "points (depth, log count, log 1/diameter):",
+    slope = _fmt_quot(result.slope)
+    points = [
+        {"depth": d, "log_count": _fmt_quot(y), "log_inv_diameter": _fmt_quot(x)}
+        for d, y, x in zip(result.depths, result.log_counts, result.log_inv_diameters)
     ]
-    for d, y, x in zip(result.depths, result.log_counts, result.log_inv_diameters):
-        lines.append(f"  {d}  {_fmt_quot(y)}  {_fmt_quot(x)}")
-    return 0, "\n".join(lines)
+    return _report(
+        cfg,
+        text=lambda: [
+            f"depths: {', '.join(str(d) for d in result.depths)}",
+            f"slope: {slope}",
+            "points (depth, log count, log 1/diameter):",
+        ] + ["  " + "  ".join(map(str, point.values())) for point in points],
+        csv=lambda: _csv_of({**point, "slope": slope} for point in points),
+        json=lambda: {
+            "depths": list(result.depths),
+            "slope": slope,
+            "points": points,
+        },
+    )
 
 
 _RUNNERS = {
@@ -777,9 +798,12 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> tuple[int, str]:
-    """Execute a validated config; returns (exit code, rendered report)."""
-    return _RUNNERS[cfg.command](cfg)
+def run(cfg: RunConfig, out: TextIO) -> int:
+    """Execute a validated config and write its report to out in the
+    chosen format, each row as it comes; returns the exit code."""
+    report = _RUNNERS[cfg.command](cfg)
+    _WRITERS[cfg.output](getattr(report, cfg.output)(), out)
+    return report.code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -794,21 +818,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        code, text = run(cfg)
+        code = run(cfg, sys.stdout)
+        sys.stdout.flush()
     except ConditionError as exc:
         print(f"condition violation: {exc}", file=sys.stderr)
         return 2
     except (DomainError, InvalidWordError, SizeLimitError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if text:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:
-            # the reader closed early; point stdout at devnull so the flush
-            # at interpreter exit does not report the broken pipe again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
+    except BrokenPipeError:
+        # the reader closed early; point stdout at devnull so the flush
+        # at interpreter exit does not report the broken pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

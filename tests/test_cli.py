@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -417,35 +418,59 @@ def test_huge_exact_values_survive_string_conversion():
     assert len(lines[-1]) > 4300
 
 
-def test_dim_csv_renders_each_level_as_the_walk_yields_it():
-    # each level is rendered and dropped as the walk yields it, for a peak
-    # of about 28.3 MiB; a list of the 400 levels kept beside the rows
-    # adds about 5 MiB to it
+class _ByteCounter(io.TextIOBase):
+    """A text stream that keeps only the number of bytes written to it."""
+
+    bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode())
+        return len(text)
+
+
+def _streamed_dim_peak(output):
     cfg = parse_config(["dim", "--family", "geometric", "--s", "2", "--t", "2",
-                        "--n-max", "400", "--output", "csv"])
+                        "--n-max", "400", "--output", output])
+    sink = _ByteCounter()
     tracemalloc.start()
     try:
-        code, text = run(cfg)
+        code = run(cfg, sink)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return code, sink.bytes, peak
+
+
+def test_dim_csv_renders_each_level_as_the_walk_yields_it():
+    # each row is written and dropped as the walk yields its level, for a
+    # peak of about 0.4 MiB; the whole output held at once is 9.8 MB
+    code, written, peak = _streamed_dim_peak("csv")
     assert code == 0
-    assert len(text) == 9_805_378
-    assert peak < 31 * 2**20
+    assert written == 9_805_379
+    assert peak < 4 * 2**20
 
 
-def test_closed_stdout_exits_quietly():
-    # the reader leaves after one line of a csv of several megabytes; the
-    # next write meets a broken pipe, which must not print a traceback
+def test_dim_json_renders_each_level_as_the_walk_yields_it():
+    code, written, peak = _streamed_dim_peak("json")
+    assert code == 0
+    assert written == 9_860_927
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_closed_stdout_exits_quietly(output):
+    # the reader leaves after one line of several megabytes of output; a
+    # later write meets a broken pipe, which must not print a traceback
     with subprocess.Popen(
         [sys.executable, "-m", "engeldim", "dim", "--family", "geometric",
-         "--s", "4", "--t", "2", "--n-max", "300", "--output", "csv"],
+         "--s", "4", "--t", "2", "--n-max", "300", "--output", output],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as proc:
         header = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=120)
-    assert header == b"n,F_n,upper_n,lower_n,N_n,delta_n,epsilon_n\n"
+    assert header == {"csv": b"n,F_n,upper_n,lower_n,N_n,delta_n,epsilon_n\n",
+                      "json": b"{\n"}[output]
     assert code == 1
     assert err == b""

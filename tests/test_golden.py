@@ -2,8 +2,10 @@
 
 Each case of golden/cases.json holds an argument list, the exit code and
 the stderr text; golden/<name>.out holds the stdout.  Together they cover
-all seven commands, all three formats, a failing check, a violation
-outside check, a table family read past its end and a refused --limit.
+each of the seven commands, and level --sample, in each of the three
+formats (a test checks that none is missing), a failing check, a
+violation outside check, a table family read past its end, a violation
+found only at the level after the last row, and a refused --limit.
 
 The stdout of the cases in golden/digests.json runs to megabytes, with
 exact values of up to about 80,000 bits, so only its length and sha256 are
@@ -26,12 +28,30 @@ from pathlib import Path
 
 import pytest
 
-from engeldim.cli import main
+from engeldim.cli import _COMMAND_OPTIONS, _OUTPUTS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 CASES = json.loads((GOLDEN / "cases.json").read_bytes())
 DIGESTS = json.loads((GOLDEN / "digests.json").read_bytes())
+
+
+def _path(argv):
+    """(command, format) of an argument list; level --sample is its own."""
+    command = argv[0] + (" --sample" if "--sample" in argv else "")
+    output = argv[argv.index("--output") + 1] if "--output" in argv else "text"
+    return command, output
+
+
+def test_every_command_and_format_has_a_golden():
+    commands = [*_COMMAND_OPTIONS, "level --sample"]
+    # a case pins a format only if it writes something in it
+    pinned = {_path(case["argv"]) for case in CASES
+              if (GOLDEN / f"{case['name']}.out").stat().st_size}
+    pinned |= {_path(case["argv"]) for case in DIGESTS if case["stdout_bytes"]}
+    missing = [(command, output) for command in commands for output in _OUTPUTS
+               if (command, output) not in pinned]
+    assert missing == []
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
