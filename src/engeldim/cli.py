@@ -4,7 +4,9 @@ Seven commands: digits, cylinder, check, level, quantities, dim, cover-fit.
 Families are specified by --family plus kind-specific flags; numeric flag
 values accept exact rationals written as "p/q" or plain integers.  A config
 file (--config) supplies defaults as flat key = value lines whose keys are
-the flag names without leading dashes; explicit flags win.
+the flag names without leading dashes; explicit flags win.  The option
+tables below state each flag once, with its converter and its default; a
+value that was given is always converted, so an empty one is an error.
 
 Output formats: text for reading, csv and json for machines.  Exact values
 are serialized as "p/q" strings and quotient values as shortest round-trip
@@ -64,31 +66,6 @@ from .ratmath import parse_rational
 
 _OUTPUTS = ("text", "csv", "json")
 
-_FAMILY_OPTIONS = ("family", "s", "t", "s-coef", "t-coef", "theta", "pairs")
-
-# which --flags each command accepts; config-file keys are validated
-# against the same table
-_COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
-    "digits": ("x", "depth", "output", "config"),
-    "cylinder": ("word", "output", "config"),
-    "check": _FAMILY_OPTIONS + ("depth", "output", "config"),
-    "level": _FAMILY_OPTIONS
-    + ("depth", "limit", "sample", "seed", "output", "config"),
-    "quantities": _FAMILY_OPTIONS + ("depth", "output", "config"),
-    "dim": _FAMILY_OPTIONS + ("n-max", "tail-window", "output", "config"),
-    "cover-fit": _FAMILY_OPTIONS + ("depths", "limit", "output", "config"),
-}
-
-_COMMAND_HELP = {
-    "digits": "expand a rational into its digit sequence",
-    "cylinder": "exact interval of points sharing a digit prefix",
-    "check": "verify the window conditions of a family to a depth",
-    "level": "enumerate or sample the basic intervals of one level",
-    "quantities": "exact per-level counts and bounds of a family",
-    "dim": "evaluate the dimension quotient sequences",
-    "cover-fit": "fit log count against log inverse diameter",
-}
-
 _OPTION_HELP = {
     "x": "rational in (0, 1) to expand, written p/q",
     "depth": "digit cap, check depth, or level, depending on the command",
@@ -111,13 +88,6 @@ _OPTION_HELP = {
     "config": "file of key = value defaults, keys are flag names",
 }
 
-# flags meaningful per family kind; anything else given is a mistake
-_KIND_FLAGS = {
-    "geometric": ("s", "t", "s-coef", "t-coef"),
-    "power-geometric": ("s", "theta"),
-    "explicit-pair": ("pairs",),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -137,6 +107,117 @@ class RunConfig:
     seed: int = 0
 
 
+# -- the option tables, their converters and the parser ----------------------
+
+
+# each converter takes a flag's value and the flag's name
+def _integer(minimum: int | None = None) -> Callable[[str, str], int]:
+    def convert(value: str, flag: str) -> int:
+        try:
+            number = int(value.strip())
+        except ValueError:
+            raise UsageError(f"--{flag} expects an integer, got {value!r}") from None
+        if minimum is not None and number < minimum:
+            raise UsageError(f"--{flag} must be >= {minimum}, got {number}")
+        return number
+
+    return convert
+
+
+def _integers(minimum: int) -> Callable[[str, str], tuple[int, ...]]:
+    def convert(value: str, flag: str) -> tuple[int, ...]:
+        parts = list(filter(None, map(str.strip, value.split(","))))
+        if not parts:
+            raise UsageError(f"--{flag} expects comma-separated integers")
+        return tuple(_integer(minimum)(part, flag) for part in parts)
+
+    return convert
+
+
+def _rational(value: str, flag: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise UsageError(f"--{flag}: {exc}") from None
+
+
+def _pairs(value: str, flag: str) -> tuple[tuple[Fraction, Fraction], ...]:
+    pairs = []
+    for chunk in filter(None, map(str.strip, value.split(","))):
+        left, sep, right = chunk.partition(":")
+        if not sep:
+            raise UsageError(
+                f"--{flag} expects s:t pairs separated by commas, got {chunk!r}"
+            )
+        pairs.append((_rational(left, flag), _rational(right, flag)))
+    if not pairs:
+        raise UsageError(f"--{flag} supplied no pairs")
+    return tuple(pairs)
+
+
+def _output(value: str, flag: str) -> str:
+    if value not in _OUTPUTS:
+        raise UsageError(f"--output must be one of {', '.join(_OUTPUTS)}")
+    return value
+
+
+# each table maps a flag to its converter and its default, in the order the
+# flags are checked; a flag whose default is _REQUIRED must be given
+_REQUIRED = object()
+
+_OUTPUT_FLAG = {"output": (_output, "text")}
+
+# each family kind's constructor and its flags, in argument order
+_KINDS = {
+    "geometric": (SequenceFamily.geometric, {
+        "s": (_rational, _REQUIRED), "t": (_rational, _REQUIRED),
+        "s-coef": (_rational, Fraction(1)), "t-coef": (_rational, Fraction(1)),
+    }),
+    "power-geometric": (SequenceFamily.power_geometric, {
+        "s": (_rational, _REQUIRED), "theta": (_rational, _REQUIRED),
+    }),
+    "explicit-pair": (SequenceFamily.from_pairs, {"pairs": (_pairs, _REQUIRED)}),
+}
+
+_FAMILY_OPTIONS = ("family", *dict.fromkeys(
+    flag for _, flags in _KINDS.values() for flag in flags))
+
+
+# each command's help, whether it reads --family and the kind's flags
+# (checked before its own), and its own flags
+_COMMANDS = {
+    "digits": ("expand a rational into its digit sequence", False, {
+        "x": (_rational, _REQUIRED), "depth": (_integer(1), None),
+    }),
+    "cylinder": ("exact interval of points sharing a digit prefix", False,
+                 {"word": (_integers(2), _REQUIRED)}),
+    "check": ("verify the window conditions of a family to a depth", True,
+              {"depth": (_integer(1), 50)}),
+    "level": ("enumerate or sample the basic intervals of one level", True, {
+        "depth": (_integer(0), _REQUIRED),
+        "limit": (_integer(1), DEFAULT_LEVEL_LIMIT),
+        "sample": (_integer(1), None),
+        "seed": (_integer(), 0),
+    }),
+    "quantities": ("exact per-level counts and bounds of a family", True,
+                   {"depth": (_integer(1), _REQUIRED)}),
+    "dim": ("evaluate the dimension quotient sequences", True, {
+        "n-max": (_integer(1), _REQUIRED), "tail-window": (_integer(1), None),
+    }),
+    "cover-fit": ("fit log count against log inverse diameter", True, {
+        "depths": (_integers(1), (2, 3, 4, 5, 6)),
+        "limit": (_integer(1), DEFAULT_FIT_LIMIT),
+    }),
+}
+
+# which --flags each command accepts, in help order; config keys too
+_COMMAND_OPTIONS = {
+    command: (_FAMILY_OPTIONS if reads_family else ())
+    + (*flags, *_OUTPUT_FLAG, "config")
+    for command, (_, reads_family, flags) in _COMMANDS.items()
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; status 2 is reserved for
     # violated conditions here, so surface parse problems as usage errors
@@ -150,16 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="engeldim", allow_abbrev=False,
                      description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", metavar="command")
-    for command, options in _COMMAND_OPTIONS.items():
-        sub = subparsers.add_parser(
-            command, help=_COMMAND_HELP[command], allow_abbrev=False
-        )
-        for name in options:
+    for command, (summary, _, _) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=summary, allow_abbrev=False)
+        for name in _COMMAND_OPTIONS[command]:
             sub.add_argument(f"--{name}", default=None, help=_OPTION_HELP[name])
     return parser
-
-
-# -- config file and conversions ---------------------------------------
 
 
 def _read_config_file(path: str, command: str) -> dict[str, str]:
@@ -190,88 +266,38 @@ def _read_config_file(path: str, command: str) -> dict[str, str]:
     return values
 
 
-def _to_int(value: str, flag: str, minimum: int | None = None) -> int:
-    try:
-        number = int(str(value).strip())
-    except ValueError:
-        raise UsageError(f"--{flag} expects an integer, got {value!r}") from None
-    if minimum is not None and number < minimum:
-        raise UsageError(f"--{flag} must be >= {minimum}, got {number}")
-    return number
-
-
-def _to_rational(value: str, flag: str) -> Fraction:
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise UsageError(f"--{flag}: {exc}") from None
-
-
-def _to_int_list(value: str, flag: str, minimum: int) -> tuple[int, ...]:
-    parts = [p.strip() for p in str(value).split(",") if p.strip()]
-    if not parts:
-        raise UsageError(f"--{flag} expects comma-separated integers")
-    return tuple(_to_int(part, flag, minimum) for part in parts)
-
-
-def _to_pairs(value: str, flag: str) -> tuple[tuple[Fraction, Fraction], ...]:
-    pairs = []
-    for chunk in str(value).split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        left, sep, right = chunk.partition(":")
-        if not sep:
-            raise UsageError(
-                f"--{flag} expects s:t pairs separated by commas, got {chunk!r}"
-            )
-        pairs.append((_to_rational(left, flag), _to_rational(right, flag)))
-    if not pairs:
-        raise UsageError(f"--{flag} supplied no pairs")
-    return tuple(pairs)
-
-
-def _require(opts: dict, key: str, command: str) -> str:
-    value = opts.get(key)
-    if value is None:
-        raise UsageError(f"{command} requires --{key}")
-    return value
+def _convert(opts: dict, flags: dict, command: str) -> dict:
+    """Each flag's value in table order, converted if given, else its
+    default, keyed by its RunConfig field name."""
+    values = {}
+    for flag, (convert, default) in flags.items():
+        if flag in opts:
+            values[flag] = convert(opts[flag], flag)
+        elif default is _REQUIRED:
+            raise UsageError(f"{command} requires --{flag}")
+        else:
+            values[flag] = default
+    return {flag.replace("-", "_"): value for flag, value in values.items()}
 
 
 def _build_family(opts: dict, command: str) -> SequenceFamily:
-    kind = _require(opts, "family", command)
-    if kind not in _KIND_FLAGS:
+    if "family" not in opts:
+        raise UsageError(f"{command} requires --family")
+    kind = opts["family"]
+    if kind not in _KINDS:
         raise UsageError(
-            f"unknown family {kind!r}; choose from "
-            + ", ".join(sorted(_KIND_FLAGS))
+            f"unknown family {kind!r}; choose from " + ", ".join(sorted(_KINDS))
         )
+    build, flags = _KINDS[kind]
     for flag in _FAMILY_OPTIONS[1:]:
-        if opts.get(flag) is not None and flag not in _KIND_FLAGS[kind]:
+        if flag in opts and flag not in flags:
             raise UsageError(f"--{flag} does not apply to a {kind} family")
-    try:
-        if kind == "geometric":
-            family = SequenceFamily.geometric(
-                _to_rational(_require(opts, "s", command), "s"),
-                _to_rational(_require(opts, "t", command), "t"),
-                _to_rational(opts.get("s-coef") or "1", "s-coef"),
-                _to_rational(opts.get("t-coef") or "1", "t-coef"),
-            )
-        elif kind == "power-geometric":
-            family = SequenceFamily.power_geometric(
-                _to_rational(_require(opts, "s", command), "s"),
-                _to_rational(_require(opts, "theta", command), "theta"),
-            )
-        else:
-            family = SequenceFamily.from_pairs(
-                _to_pairs(_require(opts, "pairs", command), "pairs")
-            )
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
     # the first window needs s_1 >= 2; cheaper to reject here than to fail
     # deep inside every command
     try:
+        family = build(*_convert(opts, flags, command).values())
         s_1 = family.s(1)
-    except EvaluationError as exc:
+    except (DomainError, EvaluationError) as exc:
         raise UsageError(str(exc)) from exc
     if s_1 < 2:
         raise UsageError(f"s_1 = {s_1} violates the window conditions (s_1 >= 2)")
@@ -283,82 +309,16 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     ns = build_parser().parse_args(list(argv))
     command = ns.command
     if command is None:
-        raise UsageError(
-            "missing command; choose from " + ", ".join(_COMMAND_OPTIONS)
-        )
-    opts = {
-        name: getattr(ns, name.replace("-", "_"))
-        for name in _COMMAND_OPTIONS[command]
-    }
-    if opts.get("config") is not None:
-        for key, value in _read_config_file(opts["config"], command).items():
-            if opts.get(key) is None:
-                opts[key] = value
-
-    output = opts.get("output") or "text"
-    if output not in _OUTPUTS:
-        raise UsageError(f"--output must be one of {', '.join(_OUTPUTS)}")
-
-    if command == "digits":
-        depth = opts.get("depth")
-        return RunConfig(
-            command=command,
-            output=output,
-            x=_to_rational(_require(opts, "x", command), "x"),
-            depth=None if depth is None else _to_int(depth, "depth", 1),
-        )
-    if command == "cylinder":
-        return RunConfig(
-            command=command,
-            output=output,
-            word=_to_int_list(_require(opts, "word", command), "word", 2),
-        )
-
-    family = _build_family(opts, command)
-    if command == "check":
-        depth = opts.get("depth")
-        return RunConfig(
-            command=command,
-            output=output,
-            family=family,
-            depth=50 if depth is None else _to_int(depth, "depth", 1),
-        )
-    if command == "level":
-        sample = opts.get("sample")
-        return RunConfig(
-            command=command,
-            output=output,
-            family=family,
-            depth=_to_int(_require(opts, "depth", command), "depth", 0),
-            limit=_to_int(opts.get("limit") or str(DEFAULT_LEVEL_LIMIT), "limit", 1),
-            sample=None if sample is None else _to_int(sample, "sample", 1),
-            seed=_to_int(opts.get("seed") or "0", "seed"),
-        )
-    if command == "quantities":
-        return RunConfig(
-            command=command,
-            output=output,
-            family=family,
-            depth=_to_int(_require(opts, "depth", command), "depth", 1),
-        )
-    if command == "dim":
-        tail = opts.get("tail-window")
-        return RunConfig(
-            command=command,
-            output=output,
-            family=family,
-            n_max=_to_int(_require(opts, "n-max", command), "n-max", 1),
-            tail_window=None if tail is None else _to_int(tail, "tail-window", 1),
-        )
-    if command == "cover-fit":
-        return RunConfig(
-            command=command,
-            output=output,
-            family=family,
-            depths=_to_int_list(opts.get("depths") or "2,3,4,5,6", "depths", 1),
-            limit=_to_int(opts.get("limit") or str(DEFAULT_FIT_LIMIT), "limit", 1),
-        )
-    raise UsageError(f"unhandled command {command!r}")
+        raise UsageError("missing command; choose from " + ", ".join(_COMMANDS))
+    # the flags given, over the config file's values
+    given = {k.replace("_", "-"): v for k, v in vars(ns).items() if v is not None}
+    config = _read_config_file(given["config"], command) if "config" in given else {}
+    opts = {**config, **given}
+    # the output first, then the family, then the command's own flags
+    output = _convert(opts, _OUTPUT_FLAG, command)["output"]
+    _, reads_family, flags = _COMMANDS[command]
+    family = _build_family(opts, command) if reads_family else None
+    return RunConfig(command, output, family=family, **_convert(opts, flags, command))
 
 
 # -- rendering helpers ---------------------------------------------------
@@ -811,9 +771,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # int-to-string conversion; lift it before any rendering
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        cfg = parse_config(args)
+        cfg = parse_config(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

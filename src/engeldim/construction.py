@@ -555,7 +555,7 @@ def _validated_pairs(pairs: Iterable) -> tuple[tuple[Fraction, Fraction], ...]:
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"pair {idx} is not a rational pair: {pair!r}") from exc
         if entry[0] <= 0 or entry[1] <= 0:
-            raise DomainError(f"pair {idx} must be positive, got {pair!r}")
+            raise DomainError(f"pair {idx} must be positive, got ({entry[0]}, {entry[1]})")
         table.append(entry)
     if not table:
         raise DomainError("a table family needs at least one (s, t) pair")

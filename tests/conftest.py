@@ -1,6 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from engeldim import SequenceFamily
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _child_processes_import_the_source_tree():
+    # pyproject's pythonpath puts src on this process's path only; the
+    # tests that run `python -m engeldim` need it on the child's as well
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 import io
 import json
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +118,66 @@ def test_parse_rejects_irrational_power_family():
             ["check", "--family", "power-geometric", "--s", "2",
              "--theta", "1/2"]
         )
+
+
+def test_each_command_accepts_exactly_its_flags():
+    family = ["family", "s", "t", "s-coef", "t-coef", "theta", "pairs"]
+    expected = {
+        "digits": ["x", "depth", "output", "config"],
+        "cylinder": ["word", "output", "config"],
+        "check": [*family, "depth", "output", "config"],
+        "level": [*family, "depth", "limit", "sample", "seed", "output", "config"],
+        "quantities": [*family, "depth", "output", "config"],
+        "dim": [*family, "n-max", "tail-window", "output", "config"],
+        "cover-fit": [*family, "depths", "limit", "output", "config"],
+    }
+    # a subcommand's namespace holds one entry per flag, in the order of
+    # its help, after the command itself
+    accepted = {
+        command: [dest.replace("_", "-")
+                  for dest in vars(build_parser().parse_args([command]))][1:]
+        for command in expected
+    }
+    assert accepted == expected
+    with pytest.raises(UsageError, match=f"choose from {', '.join(expected)}$"):
+        parse_config([])
+
+
+def test_non_positive_pair_is_reported_by_its_values(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--family", "explicit-pair", "--pairs", "4:2,16:-1"
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: pair 2 must be positive, got (16, -1)\n"
+
+
+_GEOMETRIC = ["--family", "geometric", "--s", "4", "--t", "2"]
+
+# flags that have a default: an empty value must not quietly stand for it
+EMPTY_VALUES = {
+    "s-coef": ["check", *_GEOMETRIC],
+    "t-coef": ["check", *_GEOMETRIC],
+    "limit (level)": ["level", *_GEOMETRIC, "--depth", "1"],
+    "seed": ["level", *_GEOMETRIC, "--depth", "1", "--sample", "1"],
+    "limit (cover-fit)": ["cover-fit", *_GEOMETRIC],
+    "depths": ["cover-fit", *_GEOMETRIC],
+    "output": ["digits", "--x", "1/2"],
+}
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("case", EMPTY_VALUES)
+def test_empty_value_is_a_usage_error(case, where, tmp_path):
+    flag = case.split()[0]
+    argv = EMPTY_VALUES[case]
+    if where == "flag":
+        argv = [*argv, f"--{flag}="]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{flag} =\n")
+        argv = [*argv, "--config", str(path)]
+    with pytest.raises(UsageError, match=f"^--{flag}"):
+        parse_config(argv)
 
 
 # -- config files --------------------------------------------------------------
@@ -395,6 +457,31 @@ def test_repeated_runs_are_byte_identical(capsys):
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+
+def _readme_cli_lines(prefix):
+    """The argument lists of README's CLI section lines that start with
+    prefix, with their trailing comments dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in section.splitlines() if line.startswith(prefix)]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines("engeldim "), ids=" ".join)
+def test_readme_commands_parse(argv):
+    parse_config(argv[1:])
+
+
+@pytest.mark.parametrize("family", _readme_cli_lines("--family "), ids=" ".join)
+def test_readme_families_pass_check(family, capsys):
+    # growth at level n reads s_{n+1}, so a table is checked to its
+    # second-last pair
+    depth = 20
+    if "--pairs" in family:
+        depth = family[family.index("--pairs") + 1].count(",")
+    code, _, err = run_cli(capsys, "check", *family, "--depth", str(depth))
+    assert (code, err) == (0, "")
 
 
 def test_help_exits_cleanly():

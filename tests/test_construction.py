@@ -95,6 +95,14 @@ def test_from_pairs_validation():
         SequenceFamily.from_pairs([(4,)])
 
 
+@pytest.mark.parametrize("bad", [(16, -1), (F(16), F(-1)), ("16", "-1")],
+                         ids=["ints", "fractions", "strings"])
+def test_from_pairs_names_a_non_positive_pair_by_its_values(bad):
+    with pytest.raises(DomainError) as info:
+        SequenceFamily.from_pairs([(4, 2), bad])
+    assert str(info.value) == "pair 2 must be positive, got (16, -1)"
+
+
 def test_from_function_wraps_generator_failures():
     fam = SequenceFamily.from_function(
         lambda n: 4**n, lambda n: 2**n if n < 3 else 1 / 0
