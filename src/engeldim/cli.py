@@ -73,18 +73,17 @@ _OPTION_HELP = {
     "family": "family kind: geometric, power-geometric, explicit-pair",
     "s": "s-sequence ratio (geometric) or base (power-geometric)",
     "t": "t-sequence ratio (geometric)",
-    "s-coef": "coefficient of the s sequence (geometric, default 1)",
-    "t-coef": "coefficient of the t sequence (geometric, default 1)",
+    "s-coef": "coefficient of the geometric s sequence",
+    "t-coef": "coefficient of the geometric t sequence",
     "theta": "exponent for t_n = s^(theta*n) (power-geometric)",
     "pairs": "explicit (s, t) table, e.g. 4:2,16:4,64:8",
     "n-max": "last level to evaluate",
     "tail-window": "levels in the tail summary (default n-max/10)",
-    "depths": "comma-separated fit depths (default 2,3,4,5,6)",
-    "limit": "cap on materialized intervals "
-    f"(default {DEFAULT_LEVEL_LIMIT}; {DEFAULT_FIT_LIMIT} for cover-fit)",
+    "depths": "comma-separated fit depths",
+    "limit": "cap on materialized intervals",
     "sample": "sample this many words instead of enumerating the level",
-    "seed": "seed for sampling (default 0)",
-    "output": "text, csv, or json (default text)",
+    "seed": "seed for sampling",
+    "output": "text, csv, or json",
     "config": "file of key = value defaults, keys are flag names",
 }
 
@@ -231,11 +230,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="engeldim", allow_abbrev=False,
                      description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", metavar="command")
-    for command, (summary, _, _) in _COMMANDS.items():
+    family_flags = {flag: entry for _, flags in _KINDS.values()
+                    for flag, entry in flags.items()}
+    for command, (summary, _, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=summary, allow_abbrev=False)
+        tables = {**family_flags, **flags, **_OUTPUT_FLAG}
         for name in _COMMAND_OPTIONS[command]:
-            sub.add_argument(f"--{name}", default=None, help=_OPTION_HELP[name])
+            _, default = tables.get(name, (None, None))
+            sub.add_argument(f"--{name}", default=None,
+                             help=_OPTION_HELP[name] + _default_note(default))
     return parser
+
+
+def _default_note(default) -> str:
+    # what a flag's help says of its table default: nothing for a required
+    # flag, or for one whose default is worked out later (None)
+    if default is None or default is _REQUIRED:
+        return ""
+    if isinstance(default, tuple):
+        default = ",".join(map(str, default))
+    return f" (default {default})"
 
 
 def _read_config_file(path: str, command: str) -> dict[str, str]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import floor, prod
 from typing import Callable, Iterable, Iterator
 
-from .engel import DigitWord, RatInterval
+from .engel import DigitWord, RatInterval, _prefix_state
 from .errors import (
     ConditionError,
     DomainError,
@@ -521,10 +521,17 @@ class SequenceFamily:
 def smallest_gap(intervals: Iterable[RatInterval]) -> Fraction | None:
     """Smallest distance between consecutive intervals of a list sorted by
     left endpoint; None when it holds fewer than two."""
-    return min(
-        (right.lo - left.hi for left, right in itertools.pairwise(intervals)),
-        default=None,
-    )
+    # each gap right.lo - left.hi stays an unreduced pair (num, den) with
+    # den > 0, pairs compare by cross-multiplication, and only the smallest
+    # is reduced to a Fraction
+    best_num, best_den = None, 1
+    for left, right in itertools.pairwise(intervals):
+        lo, hi = right.lo, left.hi
+        num = lo.numerator * hi.denominator - hi.numerator * lo.denominator
+        den = lo.denominator * hi.denominator
+        if best_num is None or num * best_den < best_num * den:
+            best_num, best_den = num, den
+    return None if best_num is None else Fraction(best_num, best_den)
 
 
 def _geometric_terms(coef: Fraction, ratio: Fraction) -> Iterator[int | Fraction]:
@@ -536,14 +543,6 @@ def _geometric_terms(coef: Fraction, ratio: Fraction) -> Iterator[int | Fraction
     while True:
         term *= ratio
         yield term
-
-
-def _prefix_state(digits: Iterable[int]) -> tuple[int, int]:
-    # (a, p) with a/p the word's reconstruction and p its digit product
-    a, p = 0, 1
-    for d in digits:
-        a, p = a * d + 1, p * d
-    return a, p
 
 
 def _validated_pairs(pairs: Iterable) -> tuple[tuple[Fraction, Fraction], ...]:

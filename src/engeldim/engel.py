@@ -62,13 +62,20 @@ class RatInterval:
     def __post_init__(self):
         # Fraction endpoints are kept as they are: rebuilding them was a
         # large share of the time taken to build a level of intervals
-        if type(self.lo) is not Fraction:
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if type(self.hi) is not Fraction:
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
+            object.__setattr__(self, "hi", hi)
+        # the sign of hi - lo from one integer cross-product, exact because
+        # Fraction denominators are positive; Fraction's own comparisons
+        # cost an abstract-base-class check each
+        order = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+        if order < 0:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        if order == 0 and not (self.lo_closed and self.hi_closed):
             raise ValueError("a degenerate interval must be closed on both ends")
 
     @property
@@ -160,15 +167,19 @@ def engel_digits(x, max_depth: int | None = None) -> ExpansionResult:
     return ExpansionResult(DigitWord(digits), r == 0, r)
 
 
+def _prefix_state(digits: Iterable[int]) -> tuple[int, int]:
+    # (a, p) with a/p the word's reconstruction and p its digit product:
+    # appending digit d to a word turns (a, p) into (a*d + 1, p*d)
+    a, p = 0, 1
+    for d in digits:
+        a, p = a * d + 1, p * d
+    return a, p
+
+
 def reconstruct(word) -> Fraction:
     """Exact value of the finite Engel series with the given digits."""
     w = word if isinstance(word, DigitWord) else DigitWord(word)
-    total = Fraction(0)
-    prod = 1
-    for d in w:
-        prod *= d
-        total += Fraction(1, prod)
-    return total
+    return Fraction(*_prefix_state(w))
 
 
 def cylinder_interval(word) -> RatInterval:
@@ -179,21 +190,15 @@ def cylinder_interval(word) -> RatInterval:
     reconstruction of the parent word instead of the last term.
     """
     w = word if isinstance(word, DigitWord) else DigitWord(word)
-    prefix = Fraction(0)
-    prod = 1
-    for d in w[:-1]:
-        prod *= d
-        prefix += Fraction(1, prod)
+    a, p = _prefix_state(w[:-1])
     last = w[-1]
-    lo = prefix + Fraction(1, prod * last)
-    hi = prefix + Fraction(1, prod * (last - 1))
-    return RatInterval(lo, hi, lo_closed=True, hi_closed=False)
+    return RatInterval(Fraction(a * last + 1, p * last),
+                       Fraction(a * (last - 1) + 1, p * (last - 1)),
+                       lo_closed=True, hi_closed=False)
 
 
 def cylinder_length(word) -> Fraction:
     """Exact length 1/(d_1...d_{n-1} * d_n * (d_n - 1)) of the cylinder."""
     w = word if isinstance(word, DigitWord) else DigitWord(word)
-    prod = 1
-    for d in w:
-        prod *= d
-    return Fraction(1, prod * (w[-1] - 1))
+    _, p = _prefix_state(w)
+    return Fraction(1, p * (w[-1] - 1))

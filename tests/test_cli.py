@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from engeldim import SequenceFamily, UsageError
-from engeldim.cli import build_parser, main, parse_config, run
+from engeldim.cli import _COMMAND_OPTIONS, build_parser, main, parse_config, run
 from engeldim.construction import DEFAULT_LEVEL_LIMIT
+from engeldim.dimension import DEFAULT_FIT_LIMIT
 
 
 def run_cli(capsys, *args):
@@ -484,10 +486,54 @@ def test_readme_families_pass_check(family, capsys):
     assert (code, err) == (0, "")
 
 
+def test_table_is_checked_to_its_second_last_pair(capsys):
+    # as README's check paragraph says of its 3-pair example
+    table = ["check", "--family", "explicit-pair", "--pairs", "4:2,16:4,64:8"]
+    past_end = "error: table family has 3 entries, index 4 requested\n"
+    assert run_cli(capsys, *table) == (1, "", past_end)
+    assert run_cli(capsys, *table, "--depth", "3") == (1, "", past_end)
+    code, out, err = run_cli(capsys, *table, "--depth", "2")
+    assert (code, err) == (0, "")
+    assert "all conditions: ok" in out
+
+
 def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
+
+
+_COEFS = {"s-coef": "1", "t-coef": "1"}
+
+# the default each flag's help shows; a flag not named shows none
+HELP_DEFAULTS = {
+    "digits": {"output": "text"},
+    "cylinder": {"output": "text"},
+    "check": {**_COEFS, "depth": "50", "output": "text"},
+    "level": {**_COEFS, "limit": str(DEFAULT_LEVEL_LIMIT), "seed": "0",
+              "output": "text"},
+    "quantities": {**_COEFS, "output": "text"},
+    "dim": {**_COEFS, "tail-window": "n-max/10", "output": "text"},
+    "cover-fit": {**_COEFS, "depths": "2,3,4,5,6",
+                  "limit": str(DEFAULT_FIT_LIMIT), "output": "text"},
+}
+
+
+@pytest.mark.parametrize("command", HELP_DEFAULTS)
+def test_help_shows_each_flag_default(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    options = " ".join(capsys.readouterr().out.split()).partition("options:")[2]
+    shown = {}
+    for flag in _COMMAND_OPTIONS[command]:
+        metavar = flag.upper().replace("-", "_")
+        help_text = options.split(f"--{flag} {metavar} ")[1].split(" --")[0]
+        notes = re.findall(r"\(default ([^)]*)\)", help_text)
+        assert len(notes) <= 1, (flag, help_text)
+        if notes:
+            shown[flag] = notes[0]
+    assert shown == HELP_DEFAULTS[command]
 
 
 def test_huge_exact_values_survive_string_conversion():

@@ -1,0 +1,158 @@
+"""The integer comparisons of interval endpoints against plain Fraction
+arithmetic: smallest_gap, the RatInterval order checks, and the prefix
+recurrence behind reconstruct and the cylinders."""
+
+import itertools
+from fractions import Fraction as F
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from engeldim import SequenceFamily  # noqa: E402
+from engeldim.construction import smallest_gap  # noqa: E402
+from engeldim.engel import (  # noqa: E402
+    RatInterval,
+    cylinder_interval,
+    cylinder_length,
+    reconstruct,
+)
+
+# fixed examples, no example database: the suite stays deterministic
+SEEDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+endpoints = st.one_of(st.integers(min_value=-20, max_value=20), fractions)
+
+
+def fraction_gaps(intervals):
+    """right.lo - left.hi of each consecutive pair, by Fraction subtraction."""
+    return [right.lo - left.hi for left, right in zip(intervals, intervals[1:])]
+
+
+@st.composite
+def interval_lists(draw, max_size=12):
+    """Intervals with non-negative lengths; degenerate ones are closed."""
+    out = []
+    for lo, length in draw(st.lists(st.tuples(fractions, fractions.map(abs)),
+                                    max_size=max_size)):
+        out.append(RatInterval(lo, lo + length, True, length == 0 or draw(st.booleans())))
+    return out
+
+
+@st.composite
+def evenly_spaced(draw):
+    """Intervals whose gaps all tie, at step - width, negative on overlap."""
+    start, step = draw(fractions), draw(fractions.map(abs))
+    width = draw(fractions.map(abs))
+    count = draw(st.integers(min_value=2, max_value=8))
+    return [RatInterval(start + k * step, start + k * step + width, True, True)
+            for k in range(count)]
+
+
+def check_smallest_gap(intervals):
+    expected = min(fraction_gaps(intervals), default=None)
+    got = smallest_gap(intervals)
+    assert got == expected
+    if expected is not None:
+        # a Fraction equal to the expected one is reduced the same way, so
+        # it prints the same
+        assert type(got) is F
+
+
+@SEEDED
+@given(interval_lists())
+def test_smallest_gap_of_any_list_is_the_fraction_minimum(intervals):
+    check_smallest_gap(intervals)
+
+
+@SEEDED
+@given(interval_lists())
+def test_smallest_gap_of_a_sorted_list_is_the_fraction_minimum(intervals):
+    # sorted by left endpoint, as a level is; long intervals overlap the
+    # next one, so some gaps are negative
+    check_smallest_gap(sorted(intervals, key=lambda iv: iv.lo))
+
+
+@SEEDED
+@given(evenly_spaced())
+def test_smallest_gap_of_tied_gaps(intervals):
+    check_smallest_gap(intervals)
+    assert len(set(fraction_gaps(intervals))) == 1
+
+
+def test_smallest_gap_of_fewer_than_two_intervals_is_none():
+    assert smallest_gap([]) is None
+    assert smallest_gap(iter([])) is None
+    assert smallest_gap([RatInterval(F(1, 3), F(1, 2))]) is None
+
+
+def test_smallest_gap_reads_an_iterator_once():
+    intervals = [RatInterval(F(k, 10), F(2 * k + 1, 20)) for k in range(5)]
+    assert smallest_gap(iter(intervals)) == F(1, 20)
+
+
+@pytest.mark.parametrize("family, depth", [
+    (SequenceFamily.geometric(2, 1, t_coef=2), 9),
+    (SequenceFamily.geometric(4, 2), 4),
+    (SequenceFamily.geometric(F(10, 3), F(7, 3), 3, 2), 3),
+    (SequenceFamily.from_pairs([(7, 3), (12, 4), (20, 2), (25, 2), (31, 3),
+                                (40, 2), (47, 2)]), 6),
+])
+def test_smallest_gap_of_a_level_is_the_fraction_minimum(family, depth):
+    # endpoints with large, nearly equal cross-products
+    check_smallest_gap(family.level_intervals(depth))
+
+
+@SEEDED
+@given(endpoints, endpoints, st.booleans(), st.booleans())
+def test_interval_raises_exactly_on_bad_order(lo, hi, lo_closed, hi_closed):
+    check_interval(lo, hi, lo_closed, hi_closed)
+
+
+@SEEDED
+@given(endpoints, st.booleans(), st.booleans(), st.booleans())
+def test_interval_raises_exactly_on_an_open_degenerate_interval(
+        x, as_int, lo_closed, hi_closed):
+    # the same value on both ends, as an int on one of them when it is one
+    other = x.numerator if as_int and F(x).denominator == 1 else F(x)
+    check_interval(x, other, lo_closed, hi_closed)
+    check_interval(other, x, lo_closed, hi_closed)
+
+
+def check_interval(lo, hi, lo_closed, hi_closed):
+    if F(lo) > F(hi):
+        message = f"interval endpoints out of order: {F(lo)} > {F(hi)}"
+    elif F(lo) == F(hi) and not (lo_closed and hi_closed):
+        message = "a degenerate interval must be closed on both ends"
+    else:
+        interval = RatInterval(lo, hi, lo_closed, hi_closed)
+        assert (interval.lo, interval.hi) == (F(lo), F(hi))
+        assert type(interval.lo) is F and type(interval.hi) is F
+        return
+    with pytest.raises(ValueError) as excinfo:
+        RatInterval(lo, hi, lo_closed, hi_closed)
+    assert str(excinfo.value) == message
+
+
+@st.composite
+def words(draw):
+    first = draw(st.integers(min_value=2, max_value=40))
+    steps = draw(st.lists(st.integers(min_value=0, max_value=40), max_size=10))
+    return [*itertools.accumulate(steps, initial=first)]
+
+
+@SEEDED
+@given(words())
+def test_prefix_recurrence_matches_the_series(word):
+    products = list(itertools.accumulate(word, lambda p, d: p * d))
+    series = sum((F(1, p) for p in products), F(0))
+    assert reconstruct(word) == series
+    parent = series - F(1, products[-1])
+    before_last = products[-2] if len(word) > 1 else 1
+    interval = cylinder_interval(word)
+    assert interval == RatInterval(series, parent + F(1, before_last * (word[-1] - 1)))
+    assert cylinder_length(word) == interval.length == F(1, products[-1] * (word[-1] - 1))

@@ -12,7 +12,9 @@ exact values of up to about 80,000 bits, so only its length and sha256 are
 stored, next to the exit code and the stderr text.  They cover quantities
 in all three formats, dim as csv and json, an integer, a rational and a
 power-geometric family, and a rational pair table whose exact columns are
-not multiples or divisors of the row before.
+not multiples or divisors of the row before.  They also cover full levels:
+8,192 intervals of (2^n, 2) in all three formats, and a pair table with
+mixed branching as text and json, which state the minimum gap.
 
 The same cases and digests are also replayed through `python -m engeldim`
 under every python3.10 to python3.13 on PATH, since the output must not
