@@ -16,11 +16,11 @@ tens of thousands of digits, and CPython 3.11 converts an int to decimal in
 quadratic time; each of their cells is rendered from the exact Decimal of
 the cell above it instead, in time linear in its length.
 
-Each command returns a Report, one row source per format, and one writer
-per format writes the chosen source to stdout row by row, so memory does
-not grow with the size of the output.  A command finishes every step that
-can fail before its first row is written: when it fails, nothing reaches
-stdout.
+A command is one row of _COMMANDS, which names its flags and its runner.
+The runner returns a Report, one row source per format, and one writer per
+format writes the chosen source to stdout row by row, so memory does not
+grow with the size of the output.  A command finishes every step that can
+fail before its first row is written: when it fails, nothing reaches stdout.
 Exit codes: 0 success, 1 usage problem, 2 violated window conditions.
 """
 
@@ -34,7 +34,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -46,14 +45,7 @@ from .construction import (
     smallest_gap,
 )
 from .dimension import DEFAULT_FIT_LIMIT, empirical_cover_fit, estimate_dimension
-from .engel import (
-    DigitWord,
-    RatInterval,
-    cylinder_interval,
-    cylinder_length,
-    engel_digits,
-    reconstruct,
-)
+from .engel import DigitWord, RatInterval, cylinder_interval, engel_digits
 from .errors import (
     ConditionError,
     DomainError,
@@ -86,24 +78,6 @@ _OPTION_HELP = {
     "output": "text, csv, or json",
     "config": "file of key = value defaults, keys are flag names",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully validated invocation: one command plus converted parameters."""
-
-    command: str
-    output: str
-    x: Fraction | None = None
-    depth: int | None = None
-    word: tuple[int, ...] | None = None
-    family: SequenceFamily | None = None
-    n_max: int | None = None
-    tail_window: int | None = None
-    limit: int | None = None
-    depths: tuple[int, ...] | None = None
-    sample: int | None = None
-    seed: int = 0
 
 
 # -- the option tables, their converters and the parser ----------------------
@@ -178,43 +152,10 @@ _KINDS = {
     "explicit-pair": (SequenceFamily.from_pairs, {"pairs": (_pairs, _REQUIRED)}),
 }
 
-_FAMILY_OPTIONS = ("family", *dict.fromkeys(
-    flag for _, flags in _KINDS.values() for flag in flags))
-
-
-# each command's help, whether it reads --family and the kind's flags
-# (checked before its own), and its own flags
-_COMMANDS = {
-    "digits": ("expand a rational into its digit sequence", False, {
-        "x": (_rational, _REQUIRED), "depth": (_integer(1), None),
-    }),
-    "cylinder": ("exact interval of points sharing a digit prefix", False,
-                 {"word": (_integers(2), _REQUIRED)}),
-    "check": ("verify the window conditions of a family to a depth", True,
-              {"depth": (_integer(1), 50)}),
-    "level": ("enumerate or sample the basic intervals of one level", True, {
-        "depth": (_integer(0), _REQUIRED),
-        "limit": (_integer(1), DEFAULT_LEVEL_LIMIT),
-        "sample": (_integer(1), None),
-        "seed": (_integer(), 0),
-    }),
-    "quantities": ("exact per-level counts and bounds of a family", True,
-                   {"depth": (_integer(1), _REQUIRED)}),
-    "dim": ("evaluate the dimension quotient sequences", True, {
-        "n-max": (_integer(1), _REQUIRED), "tail-window": (_integer(1), None),
-    }),
-    "cover-fit": ("fit log count against log inverse diameter", True, {
-        "depths": (_integers(1), (2, 3, 4, 5, 6)),
-        "limit": (_integer(1), DEFAULT_FIT_LIMIT),
-    }),
-}
-
-# which --flags each command accepts, in help order; config keys too
-_COMMAND_OPTIONS = {
-    command: (_FAMILY_OPTIONS if reads_family else ())
-    + (*flags, *_OUTPUT_FLAG, "config")
-    for command, (_, reads_family, flags) in _COMMANDS.items()
-}
+# every kind's flags, each once, in first-seen order
+_FAMILY_FLAGS = {flag: entry for _, flags in _KINDS.values()
+                 for flag, entry in flags.items()}
+_FAMILY_OPTIONS = ("family", *_FAMILY_FLAGS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,11 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="engeldim", allow_abbrev=False,
                      description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", metavar="command")
-    family_flags = {flag: entry for _, flags in _KINDS.values()
-                    for flag, entry in flags.items()}
-    for command, (summary, _, flags) in _COMMANDS.items():
+    for command, (summary, _, flags, _) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=summary, allow_abbrev=False)
-        tables = {**family_flags, **flags, **_OUTPUT_FLAG}
+        tables = {**_FAMILY_FLAGS, **flags, **_OUTPUT_FLAG}
         for name in _COMMAND_OPTIONS[command]:
             _, default = tables.get(name, (None, None))
             sub.add_argument(f"--{name}", default=None,
@@ -282,7 +221,7 @@ def _read_config_file(path: str, command: str) -> dict[str, str]:
 
 def _convert(opts: dict, flags: dict, command: str) -> dict:
     """Each flag's value in table order, converted if given, else its
-    default, keyed by its RunConfig field name."""
+    default, keyed by its field name: the flag with "_" for "-"."""
     values = {}
     for flag, (convert, default) in flags.items():
         if flag in opts:
@@ -318,8 +257,11 @@ def _build_family(opts: dict, command: str) -> SequenceFamily:
     return family
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
-    """Parse flags, merge the optional config file, convert and validate."""
+def parse_config(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse flags, merge the optional config file, convert and validate.
+
+    The namespace holds command, output and family (None for a command
+    that reads none), and the command's own flags by field name."""
     ns = build_parser().parse_args(list(argv))
     command = ns.command
     if command is None:
@@ -330,9 +272,10 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     opts = {**config, **given}
     # the output first, then the family, then the command's own flags
     output = _convert(opts, _OUTPUT_FLAG, command)["output"]
-    _, reads_family, flags = _COMMANDS[command]
+    _, reads_family, flags, _ = _COMMANDS[command]
     family = _build_family(opts, command) if reads_family else None
-    return RunConfig(command, output, family=family, **_convert(opts, flags, command))
+    return argparse.Namespace(command=command, output=output, family=family,
+                              **_convert(opts, flags, command))
 
 
 # -- rendering helpers ---------------------------------------------------
@@ -402,6 +345,16 @@ def _exact_cells(
     count, delta, gap = _decimal_column(), _fraction_column(), _fraction_column()
     for lq in levels:
         yield lq, count(lq.count), delta(lq.diameter_bound), gap(lq.gap_bound)
+
+
+def _exact_rows(
+    family: SequenceFamily, depth: int, columns: Callable[[LevelQuantities], dict]
+) -> Iterator[dict]:
+    """One flat row per level to depth: n, the command's own columns for
+    the level, then its exact N_n, delta_n and epsilon_n cells."""
+    for lq, count, delta, gap in _exact_cells(family.iter_level_quantities(depth)):
+        yield {"n": lq.n, **columns(lq),
+               "N_n": count, "delta_n": delta, "epsilon_n": gap}
 
 
 # -- reports and their writers ---------------------------------------------
@@ -480,7 +433,7 @@ def _endpoints(intervals: Sequence[RatInterval]) -> _Stream:
     return _Stream({"lo": str(iv.lo), "hi": str(iv.hi)} for iv in intervals)
 
 
-def _report(cfg: RunConfig, text, csv, json, code: int = 0) -> Report:
+def _report(cfg: argparse.Namespace, text, csv, json, code: int = 0) -> Report:
     """The Report of cfg's command from its own sources: the json document
     is opened by the command and the family, the text by the family line."""
     head, lines = {"command": cfg.command}, []
@@ -499,7 +452,7 @@ def _report(cfg: RunConfig, text, csv, json, code: int = 0) -> Report:
 # -- command runners -----------------------------------------------------
 
 
-def _run_digits(cfg: RunConfig) -> Report:
+def _run_digits(cfg: argparse.Namespace) -> Report:
     result = engel_digits(cfg.x, cfg.depth)
     digits = list(result.digits)
     return _report(
@@ -522,25 +475,24 @@ def _run_digits(cfg: RunConfig) -> Report:
     )
 
 
-def _run_cylinder(cfg: RunConfig) -> Report:
+def _run_cylinder(cfg: argparse.Namespace) -> Report:
     word = DigitWord(cfg.word)
+    # the word's reconstruction is the left end of its cylinder
     interval = cylinder_interval(word)
-    length = cylinder_length(word)
-    value = reconstruct(word)
     return _report(
         cfg,
         text=lambda: [
             f"word: {list(word)}",
             f"interval: {interval}",
-            f"length: {length}",
-            f"reconstruction: {value}",
+            f"length: {interval.length}",
+            f"reconstruction: {interval.lo}",
         ],
         csv=lambda: _csv_of([{
             "word": " ".join(str(d) for d in word),
             "lo": interval.lo,
             "hi": interval.hi,
-            "length": length,
-            "reconstruction": value,
+            "length": interval.length,
+            "reconstruction": interval.lo,
         }]),
         json=lambda: {
             "word": list(word),
@@ -548,13 +500,13 @@ def _run_cylinder(cfg: RunConfig) -> Report:
             "hi": str(interval.hi),
             "lo_closed": interval.lo_closed,
             "hi_closed": interval.hi_closed,
-            "length": str(length),
-            "reconstruction": str(value),
+            "length": str(interval.length),
+            "reconstruction": str(interval.lo),
         },
     )
 
 
-def _run_check(cfg: RunConfig) -> Report:
+def _run_check(cfg: argparse.Namespace) -> Report:
     report = cfg.family.check_conditions(cfg.depth)
     fields = {
         "depth": report.depth,
@@ -585,7 +537,7 @@ def _run_check(cfg: RunConfig) -> Report:
     )
 
 
-def _run_level(cfg: RunConfig) -> Report:
+def _run_level(cfg: argparse.Namespace) -> Report:
     n = cfg.depth
     if cfg.sample is not None:
         rng = random.Random(cfg.seed)
@@ -654,22 +606,14 @@ def _run_level(cfg: RunConfig) -> Report:
     )
 
 
-def _run_quantities(cfg: RunConfig) -> Report:
+def _run_quantities(cfg: argparse.Namespace) -> Report:
     # the last row reads level depth + 1; walking the levels first makes a
     # violation or a short table raise before anything is written
     for _ in cfg.family.levels(cfg.depth + 1):
         pass
 
-    def levels() -> Iterator[dict]:
-        cells = _exact_cells(cfg.family.iter_level_quantities(cfg.depth))
-        for lq, count, delta, gap in cells:
-            yield {
-                "n": lq.n,
-                "m_n": lq.branch_counts[-1],
-                "N_n": count,
-                "delta_n": delta,
-                "epsilon_n": gap,
-            }
+    levels = functools.partial(_exact_rows, cfg.family, cfg.depth,
+                               lambda lq: {"m_n": lq.branch_counts[-1]})
 
     def text() -> Iterator[str]:
         # each column is right-justified to its widest cell, which is known
@@ -687,7 +631,7 @@ def _run_quantities(cfg: RunConfig) -> Report:
     )
 
 
-def _run_dim(cfg: RunConfig) -> Report:
+def _run_dim(cfg: argparse.Namespace) -> Report:
     report = estimate_dimension(cfg.family, cfg.n_max, cfg.tail_window)
 
     def text() -> Iterator[str]:
@@ -708,24 +652,18 @@ def _run_dim(cfg: RunConfig) -> Report:
 
     # machine formats carry the exact per-level quantities next to the
     # floating quotients; these strings grow quickly with n
-    def levels() -> Iterator[dict]:
-        cells = _exact_cells(cfg.family.iter_level_quantities(cfg.n_max))
-        for lq, count, delta, gap in cells:
-            i = lq.n - 1
-            yield {
-                "n": lq.n,
-                "F_n": _fmt_quot(report.formula[i]),
-                "upper_n": _fmt_quot(report.upper[i]),
-                "lower_n": _fmt_quot(report.lower[i]) or None,
-                "N_n": count,
-                "delta_n": delta,
-                "epsilon_n": gap,
-            }
+    def quotients(lq: LevelQuantities) -> dict:
+        i = lq.n - 1
+        return {
+            "F_n": _fmt_quot(report.formula[i]),
+            "upper_n": _fmt_quot(report.upper[i]),
+            "lower_n": _fmt_quot(report.lower[i]) or None,
+        }
 
     return _report(
         cfg,
         text=text,
-        csv=lambda: _csv_of(levels()),
+        csv=lambda: _csv_of(_exact_rows(cfg.family, cfg.n_max, quotients)),
         json=lambda: {
             "n_max": report.n_max,
             "tail_window": report.tail_window,
@@ -733,12 +671,12 @@ def _run_dim(cfg: RunConfig) -> Report:
             "tail_min_formula": _fmt_quot(report.tail_min_formula),
             "monotone_tail": report.monotone_tail,
             "caveat": report.caveat,
-            "levels": _Stream(levels()),
+            "levels": _Stream(_exact_rows(cfg.family, cfg.n_max, quotients)),
         },
     )
 
 
-def _run_cover_fit(cfg: RunConfig) -> Report:
+def _run_cover_fit(cfg: argparse.Namespace) -> Report:
     result = empirical_cover_fit(cfg.family, cfg.depths, cfg.limit)
     slope = _fmt_quot(result.slope)
     points = [
@@ -761,21 +699,45 @@ def _run_cover_fit(cfg: RunConfig) -> Report:
     )
 
 
-_RUNNERS = {
-    "digits": _run_digits,
-    "cylinder": _run_cylinder,
-    "check": _run_check,
-    "level": _run_level,
-    "quantities": _run_quantities,
-    "dim": _run_dim,
-    "cover-fit": _run_cover_fit,
+# each command's help, whether it reads --family and the kind's flags
+# (checked before its own), its own flags, and its runner
+_COMMANDS = {
+    "digits": ("expand a rational into its digit sequence", False, {
+        "x": (_rational, _REQUIRED), "depth": (_integer(1), None),
+    }, _run_digits),
+    "cylinder": ("exact interval of points sharing a digit prefix", False,
+                 {"word": (_integers(2), _REQUIRED)}, _run_cylinder),
+    "check": ("verify the window conditions of a family to a depth", True,
+              {"depth": (_integer(1), 50)}, _run_check),
+    "level": ("enumerate or sample the basic intervals of one level", True, {
+        "depth": (_integer(0), _REQUIRED),
+        "limit": (_integer(1), DEFAULT_LEVEL_LIMIT),
+        "sample": (_integer(1), None),
+        "seed": (_integer(), 0),
+    }, _run_level),
+    "quantities": ("exact per-level counts and bounds of a family", True,
+                   {"depth": (_integer(1), _REQUIRED)}, _run_quantities),
+    "dim": ("evaluate the dimension quotient sequences", True, {
+        "n-max": (_integer(1), _REQUIRED), "tail-window": (_integer(1), None),
+    }, _run_dim),
+    "cover-fit": ("fit log count against log inverse diameter", True, {
+        "depths": (_integers(1), (2, 3, 4, 5, 6)),
+        "limit": (_integer(1), DEFAULT_FIT_LIMIT),
+    }, _run_cover_fit),
+}
+
+# which --flags each command accepts, in help order; config keys too
+_COMMAND_OPTIONS = {
+    command: (_FAMILY_OPTIONS if reads_family else ())
+    + (*flags, *_OUTPUT_FLAG, "config")
+    for command, (_, reads_family, flags, _) in _COMMANDS.items()
 }
 
 
-def run(cfg: RunConfig, out: TextIO) -> int:
+def run(cfg: argparse.Namespace, out: TextIO) -> int:
     """Execute a validated config and write its report to out in the
     chosen format, each row as it comes; returns the exit code."""
-    report = _RUNNERS[cfg.command](cfg)
+    report = _COMMANDS[cfg.command][-1](cfg)
     _WRITERS[cfg.output](getattr(report, cfg.output)(), out)
     return report.code
 

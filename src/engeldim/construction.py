@@ -203,10 +203,6 @@ class SequenceFamily:
             raise EvaluationError(f"{name}_{n} = {value} is not positive")
         return value
 
-    @property
-    def divergence_certified(self) -> bool:
-        return self._diverges is True
-
     # -- the level walker ------------------------------------------------
 
     def levels(self, depth: int
@@ -408,9 +404,7 @@ class SequenceFamily:
         *windows, (j_min, j_max) = self._word_windows(n)
         total = prod(hi - lo + 1 for lo, hi in windows)
         if limit is not None and total > limit:
-            raise SizeLimitError(
-                total, limit, f"level {n} holds {total} intervals, limit {limit}"
-            )
+            raise SizeLimitError(total, limit, f"level {n}")
         *head, (lo, hi) = windows
         states = [(0, 1)]
         for w_lo, w_hi in head:

@@ -171,9 +171,7 @@ def empirical_cover_fit(f: SequenceFamily, depths: Sequence[int],
     for d, (count, length) in enumerate(walk, start=1):
         if d in wanted:
             if limit is not None and count > limit:
-                raise SizeLimitError(
-                    count, limit, f"depth {d} holds {count} intervals, limit {limit}"
-                )
+                raise SizeLimitError(count, limit, f"depth {d}")
             points[d] = (-log_rational(length), log_rational(count))
     xs = [points[d][0] for d in depth_list]
     ys = [points[d][1] for d in depth_list]

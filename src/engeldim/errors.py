@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+import math
+
 
 class EngelDimError(Exception):
     """Base class for every error raised by this package."""
@@ -27,10 +29,19 @@ class EvaluationError(EngelDimError):
 
 
 class SizeLimitError(EngelDimError):
-    """A level holds more intervals than the caller allowed."""
+    """A level holds more intervals than the caller allowed.
 
-    def __init__(self, count: int, limit: int, message: str):
-        super().__init__(message)
+    The message shows a count of over 40 digits as "at least 10^k", k its
+    digit count minus 1: its decimal digits could take seconds to make."""
+
+    def __init__(self, count: int, limit: int, what: str):
+        shown = count
+        if count >= 10**40:
+            # log10 errs by far less than 1, either way; a power of 10 settles k
+            k = int(math.log10(count))
+            power = 10**k
+            shown = f"at least 10^{k + (power * 10 <= count) - (power > count)}"
+        super().__init__(f"{what} holds {shown} intervals, limit {limit}")
         self.count = count
         self.limit = limit
 
