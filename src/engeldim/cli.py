@@ -540,6 +540,9 @@ def _run_check(cfg: argparse.Namespace) -> Report:
 def _run_level(cfg: argparse.Namespace) -> Report:
     n = cfg.depth
     if cfg.sample is not None:
+        # each drawn word materializes one interval
+        if cfg.sample > cfg.limit:
+            raise SizeLimitError(cfg.sample, cfg.limit, f"sample of level {n}")
         rng = random.Random(cfg.seed)
         count, words, intervals = cfg.family.sample_level(n, cfg.sample, rng)
         return _report(

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import floor, prod
 from typing import Callable, Iterable, Iterator
 
-from .engel import DigitWord, RatInterval, _prefix_state
+from .engel import DigitWord, RatInterval, _prefix_interval, _prefix_state
 from .errors import (
     ConditionError,
     DomainError,
@@ -277,13 +277,26 @@ class SequenceFamily:
 
     # -- digit windows --------------------------------------------------
 
+    def _windows(self, depth: int) -> list[tuple[int, int]]:
+        # the windows of levels 1..depth from one walk.  The walked conditions
+        # make the first window start above 2 and each start above the end
+        # of the one before, so every word drawn from them is admissible;
+        # this O(depth) check lets a reader skip validating each word
+        windows = [(lo, hi) for _, _, lo, hi in self.levels(depth)]
+        prev_hi = 2
+        for k, (lo, hi) in enumerate(windows, start=1):
+            if lo < prev_hi:
+                raise InternalError(
+                    f"window [{lo}, {hi}] of level {k} starts below {prev_hi}"
+                )
+            prev_hi = hi
+        return windows
+
     def digit_range(self, k: int) -> tuple[int, int]:
         """Inclusive integer digit window (floor(s_k)+1, floor(s_k+t_k))."""
         if k < 1:
             raise DomainError(f"sequence index must be >= 1, got {k}")
-        for _, _, j_min, j_max in self.levels(k):
-            pass
-        return j_min, j_max
+        return self._windows(k)[-1]
 
     def branch_count(self, k: int) -> int:
         """Number of admissible digits at level k."""
@@ -292,7 +305,7 @@ class SequenceFamily:
 
     def word_count(self, n: int) -> int:
         """Exact number of level-n words: the product of the branch counts."""
-        return prod(hi - lo + 1 for _, _, lo, hi in self.levels(n))
+        return prod(hi - lo + 1 for lo, hi in self._windows(n))
 
     def iter_words(self, n: int, limit: int | None = None) -> Iterator[DigitWord]:
         """Yield the level-n words in lexicographic order.
@@ -303,7 +316,7 @@ class SequenceFamily:
         """
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
-        ranges = [range(lo, hi + 1) for _, _, lo, hi in self.levels(n)]
+        ranges = [range(lo, hi + 1) for lo, hi in self._windows(n)]
         words = (DigitWord(combo) for combo in itertools.product(*ranges))
         return words if limit is None else itertools.islice(words, limit)
 
@@ -314,7 +327,7 @@ class SequenceFamily:
             raise DomainError(f"level must be >= 1, got {n}")
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count}")
-        windows = [(lo, hi) for _, _, lo, hi in self.levels(n)]
+        windows = self._windows(n)
         return [
             DigitWord(rng.randint(j_min, j_max) for j_min, j_max in windows)
             for _ in range(count)
@@ -332,12 +345,12 @@ class SequenceFamily:
             raise DomainError(f"level must be >= 1, got {n}")
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count}")
-        *windows, (j_min, j_max) = self._word_windows(n)
+        *windows, (j_min, j_max) = self._windows(n + 1)
         words = [
             tuple(rng.randint(lo, hi) for lo, hi in windows) for _ in range(count)
         ]
         intervals = [
-            self._interval_from_word(*_prefix_state(w), j_min, j_max) for w in words
+            _prefix_interval(*_prefix_state(w), j_min, j_max) for w in words
         ]
         return prod(hi - lo + 1 for lo, hi in windows), words, intervals
 
@@ -351,36 +364,13 @@ class SequenceFamily:
         [S + 1/(P*j_max), S + 1/(P*(j_min - 1))].
         """
         w = word if isinstance(word, DigitWord) else DigitWord(word)
-        *windows, last = [(lo, hi) for _, _, lo, hi in self.levels(len(w) + 1)]
+        *windows, last = self._windows(len(w) + 1)
         for k, (digit, (lo, hi)) in enumerate(zip(w, windows), start=1):
             if not lo <= digit <= hi:
                 raise InvalidWordError(
                     f"digit {digit} at position {k} outside window [{lo}, {hi}]"
                 )
-        return self._interval_from_word(*_prefix_state(w), *last)
-
-    @staticmethod
-    def _interval_from_word(a: int, p: int, j_min: int, j_max: int) -> RatInterval:
-        # the basic interval of the word whose prefix state is (a, p), so
-        # S = a/p; each endpoint S + 1/(p*j) is built as one fraction
-        return RatInterval(Fraction(a * j_max + 1, p * j_max),
-                           Fraction(a * (j_min - 1) + 1, p * (j_min - 1)),
-                           lo_closed=True, hi_closed=True)
-
-    def _word_windows(self, n: int) -> list[tuple[int, int]]:
-        # the windows of levels 1..n+1 from one walk.  The walked conditions
-        # make the first window start above 2 and each start above the end
-        # of the one before, so every word drawn from them is admissible;
-        # this O(n) check stands in for validating each word
-        windows = [(lo, hi) for _, _, lo, hi in self.levels(n + 1)]
-        prev_hi = 2
-        for k, (lo, hi) in enumerate(windows, start=1):
-            if lo < prev_hi:
-                raise InternalError(
-                    f"window [{lo}, {hi}] of level {k} starts below {prev_hi}"
-                )
-            prev_hi = hi
-        return windows
+        return _prefix_interval(*_prefix_state(w), *last)
 
     def level_intervals(self, n: int,
                         limit: int | None = DEFAULT_LEVEL_LIMIT) -> list[RatInterval]:
@@ -401,7 +391,7 @@ class SequenceFamily:
             raise DomainError(f"level must be >= 0, got {n}")
         if n == 0:
             return [RatInterval(Fraction(0), Fraction(1), True, True)]
-        *windows, (j_min, j_max) = self._word_windows(n)
+        *windows, (j_min, j_max) = self._windows(n + 1)
         total = prod(hi - lo + 1 for lo, hi in windows)
         if limit is not None and total > limit:
             raise SizeLimitError(total, limit, f"level {n}")
@@ -413,7 +403,7 @@ class SequenceFamily:
         # the last digit position is expanded where the intervals are built,
         # so no count-sized list of level-n states is held
         return [
-            self._interval_from_word(a * d + 1, p * d, j_min, j_max)
+            _prefix_interval(a * d + 1, p * d, j_min, j_max)
             for a, p in states
             for d in range(hi, lo - 1, -1)
         ]
@@ -470,8 +460,9 @@ class SequenceFamily:
         1/(2**(n+3) * s_1...s_n * s_n)."""
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
+        # level n's intervals are built from window n + 1, so walk to it
         prod_s = 1
-        for s_k, _, _, _ in self.levels(n):
+        for (s_k, _, _, _), _ in itertools.pairwise(self.levels(n + 1)):
             prod_s *= s_k
         return Fraction(1) / (prod_s * s_k * 2 ** (n + 3))
 

@@ -176,6 +176,15 @@ def _prefix_state(digits: Iterable[int]) -> tuple[int, int]:
     return a, p
 
 
+def _prefix_interval(a: int, p: int, j_min: int, j_max: int,
+                     hi_closed: bool = True) -> RatInterval:
+    # the points continuing prefix state (a, p) with a digit in j_min..j_max
+    # lie from a/p + 1/(p*j_max) to a/p + 1/(p*(j_min - 1)), each one fraction
+    return RatInterval(Fraction(a * j_max + 1, p * j_max),
+                       Fraction(a * (j_min - 1) + 1, p * (j_min - 1)),
+                       lo_closed=True, hi_closed=hi_closed)
+
+
 def reconstruct(word) -> Fraction:
     """Exact value of the finite Engel series with the given digits."""
     w = word if isinstance(word, DigitWord) else DigitWord(word)
@@ -190,11 +199,7 @@ def cylinder_interval(word) -> RatInterval:
     reconstruction of the parent word instead of the last term.
     """
     w = word if isinstance(word, DigitWord) else DigitWord(word)
-    a, p = _prefix_state(w[:-1])
-    last = w[-1]
-    return RatInterval(Fraction(a * last + 1, p * last),
-                       Fraction(a * (last - 1) + 1, p * (last - 1)),
-                       lo_closed=True, hi_closed=False)
+    return _prefix_interval(*_prefix_state(w[:-1]), w[-1], w[-1], hi_closed=False)
 
 
 def cylinder_length(word) -> Fraction:

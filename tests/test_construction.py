@@ -13,6 +13,7 @@ from engeldim import (
     ConditionError,
     DomainError,
     EvaluationError,
+    InternalError,
     InvalidWordError,
     RatInterval,
     SequenceFamily,
@@ -458,6 +459,29 @@ def test_gap_bound_strictly_decreases(test_families):
             assert fam.gap_bound(n - 1) > fam.gap_bound(n)
 
 
+def level_error(call):
+    """(class, condition, index, message) of the error a call raises."""
+    with pytest.raises((ConditionError, EvaluationError)) as info:
+        call()
+    exc = info.value
+    return (type(exc), getattr(exc, "condition", None),
+            getattr(exc, "index", None), str(exc))
+
+
+@pytest.mark.parametrize("pairs, n", [
+    ([(4, 2), (16, 4), (17, 8), (200, 8)], 2),  # s_3 = 17 < s_2 + t_2 = 20
+    ([(4, 2), (16, 4), (64, 8)], 3),  # window 4 lies past the table
+])
+def test_level_bounds_fail_where_the_level_intervals_do(pairs, n):
+    # the level-n intervals are built from window n + 1, so every level-n
+    # quantity needs the conditions and the terms up to level n + 1
+    fam = SequenceFamily.from_pairs(pairs)
+    errors = [level_error(call) for call in (
+        lambda: fam.min_gap(n), lambda: fam.diameter_bound(n),
+        lambda: fam.level_quantities(n), lambda: fam.gap_bound(n))]
+    assert errors == [errors[0]] * 4
+
+
 def test_level_quantities_consistency(fam42):
     for n in range(1, 6):
         quantities = fam42.level_quantities(n)
@@ -566,6 +590,28 @@ def test_each_operation_evaluates_each_index_at_most_once(name):
     assert calls, "the operation evaluated no sequence value"
     repeated = {key: count for key, count in calls.items() if count > 1}
     assert repeated == {}
+
+
+WINDOW_READERS = {
+    "digit_range": lambda f: f.digit_range(2),
+    "word_count": lambda f: f.word_count(2),
+    "iter_words": lambda f: list(f.iter_words(2)),
+    "sample_words": lambda f: f.sample_words(2, 3, random.Random(1)),
+    "basic_interval": lambda f: f.basic_interval([5]),
+    "sample_level": lambda f: f.sample_level(1, 3, random.Random(1)),
+    "level_intervals": lambda f: f.level_intervals(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_READERS))
+def test_every_window_reader_checks_the_window_order(name, fam42, monkeypatch):
+    # overlapping windows, which the walked conditions rule out, so only
+    # the window-order check can stop a reader from building on them
+    overlapping = [(4, 4, 5, 8), (6, 4, 7, 10)]
+    monkeypatch.setattr(SequenceFamily, "levels",
+                        lambda self, depth: iter(overlapping[:depth]))
+    with pytest.raises(InternalError, match="level 2 starts below 8"):
+        WINDOW_READERS[name](fam42)
 
 
 def require_conditions_oracle(fam, depth):
