@@ -71,13 +71,38 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class LevelQuantities:
-    """Exact bookkeeping for one level: count, branching, and both bounds."""
+    """Exact bookkeeping for one level: count, branching, and the running
+    products that both bounds and the longest length are built from when
+    read, so a reader of one level pays for that level's Fractions only."""
 
     n: int
     count: int
     branch_counts: tuple[int, ...]
-    diameter_bound: Fraction
-    gap_bound: Fraction
+    prod_s: int | Fraction  # s_1...s_n
+    prod_lo: int  # product of the window starts j_min of levels 1..n
+    s_n: int | Fraction
+    next_level: tuple[int | Fraction, int | Fraction, int, int]  # level n+1 (s, t, lo, hi)
+
+    @property
+    def diameter_bound(self) -> Fraction:
+        """delta_n = 4*t_{n+1}/(s_1...s_n * s_{n+1}**2)."""
+        s_next, t_next, _, _ = self.next_level
+        # prod_s is an int while the terms are, and each bound divides a
+        # small Fraction by it, so reducing the bound takes gcds of big
+        # values with small ones only, never of two big values
+        return Fraction(4 * t_next) / (self.prod_s * s_next * s_next)
+
+    @property
+    def gap_bound(self) -> Fraction:
+        """epsilon_n = 1/(2**(n+3) * s_1...s_n * s_n)."""
+        return Fraction(1) / (self.prod_s * self.s_n * 2 ** (self.n + 3))
+
+    @property
+    def max_length(self) -> Fraction:
+        """Longest level-n interval length, the all-minimal word's:
+        1/(prod_lo*(j_min - 1)) - 1/(prod_lo*j_max) over window n+1."""
+        _, _, j_min, j_max = self.next_level
+        return Fraction(j_max - j_min + 1, self.prod_lo * (j_min - 1) * j_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,53 +448,23 @@ class SequenceFamily:
         its digit product, so the all-minimal word dominates the level and
         no enumeration is needed.
         """
-        if n < 1:
-            raise DomainError(f"level must be >= 1, got {n}")
-        for _, length in self.iter_counts_and_max_lengths(n):
-            pass
-        return length
-
-    def iter_counts_and_max_lengths(self, depth: int) -> Iterator[tuple[int, Fraction]]:
-        """Yield (N_n, largest level-n interval length) for n = 1..depth
-        from one walk of levels 1..depth+1."""
-        if depth < 1:
-            raise DomainError(f"depth must be >= 1, got {depth}")
-        count = prod_min = 1
-        walk = itertools.pairwise(self.levels(depth + 1))
-        for (_, _, lo, hi), (_, _, j_min, j_max) in walk:
-            count *= hi - lo + 1
-            prod_min *= lo
-            # 1/(prod_min*(j_min - 1)) - 1/(prod_min*j_max) as one fraction
-            yield count, Fraction(j_max - j_min + 1, prod_min * (j_min - 1) * j_max)
+        return self.level_quantities(n).max_length
 
     # -- a priori bounds ---------------------------------------------------
 
     def diameter_bound(self, n: int) -> Fraction:
-        """Exact bound dominating every level-n interval length:
-        (1/(s_1...s_n)) * 4*t_{n+1}/s_{n+1}**2."""
-        if n < 1:
-            raise DomainError(f"level must be >= 1, got {n}")
-        prod_s = 1
-        walk = itertools.pairwise(self.levels(n + 1))
-        for (s_k, _, _, _), (s_next, t_next, _, _) in walk:
-            prod_s *= s_k
-        return Fraction(4 * t_next) / (prod_s * s_next * s_next)
+        """Exact bound delta_n dominating every level-n interval length."""
+        return self.level_quantities(n).diameter_bound
 
     def gap_bound(self, n: int) -> Fraction:
-        """Exact bound below every gap at level n:
-        1/(2**(n+3) * s_1...s_n * s_n)."""
-        if n < 1:
-            raise DomainError(f"level must be >= 1, got {n}")
-        # level n's intervals are built from window n + 1, so walk to it
-        prod_s = 1
-        for (s_k, _, _, _), _ in itertools.pairwise(self.levels(n + 1)):
-            prod_s *= s_k
-        return Fraction(1) / (prod_s * s_k * 2 ** (n + 3))
+        """Exact bound epsilon_n below every gap at level n."""
+        return self.level_quantities(n).gap_bound
 
     def iter_level_quantities(self, depth: int) -> Iterator[LevelQuantities]:
         """Yield the quantities of levels 1..depth in one incremental sweep.
 
-        Each sequence value is evaluated once, so this is the way to
+        Every level-n count, bound and longest length is read from this
+        walk.  Each sequence value is evaluated once, so this is the way to
         tabulate deep runs; per-level calls would redo the prefix work.
         The conditions are verified in the same pass, so a lazy consumer
         can receive the first levels before a ConditionError from a deeper
@@ -477,27 +472,23 @@ class SequenceFamily:
         """
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
-        # prod_s = s_1...s_n is an int while the terms are, and each bound
-        # divides a small Fraction by it, so reducing the bound takes gcds
-        # of big values with small ones only, never of two big values
-        prod_s = count = 1
+        prod_s = prod_lo = count = 1
         branches: list[int] = []
+        # level n's intervals are built from window n + 1, so walk to it
         walk = itertools.pairwise(self.levels(depth + 1))
-        for n, ((s_n, _, lo, hi), (s_next, t_next, _, _)) in enumerate(walk, 1):
+        for n, ((s_n, _, lo, hi), next_level) in enumerate(walk, 1):
             prod_s *= s_n
+            prod_lo *= lo
             m = hi - lo + 1
             branches.append(m)
             count *= m
-            yield LevelQuantities(
-                n=n,
-                count=count,
-                branch_counts=tuple(branches),
-                diameter_bound=Fraction(4 * t_next) / (prod_s * s_next * s_next),
-                gap_bound=Fraction(1) / (prod_s * s_n * 2 ** (n + 3)),
-            )
+            yield LevelQuantities(n, count, tuple(branches), prod_s, prod_lo,
+                                  s_n, next_level)
 
     def level_quantities(self, n: int) -> LevelQuantities:
-        """Bundle count, branch counts, and both bounds for one level."""
+        """The quantities of one level: the last of iter_level_quantities(n)."""
+        if n < 1:
+            raise DomainError(f"level must be >= 1, got {n}")
         for last in self.iter_level_quantities(n):
             pass
         return last

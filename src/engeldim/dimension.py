@@ -79,15 +79,8 @@ def formula_quotient(f: SequenceFamily, n: int) -> float:
     (sum of log s_k, k <= n+1) + log s_{n+1} - log t_{n+1}."""
     if n < 1:
         raise DomainError(f"level must be >= 1, got {n}")
-    num = den = 0.0
-    for k, (s_k, t_k, _, _) in enumerate(f.levels(n + 1), start=1):
-        log_s, log_t = log_rational(s_k), log_rational(t_k)
-        den += log_s
-        if k <= n:
-            num += log_t
-        else:
-            den += log_s - log_t
-    return num / den
+    # the value the dimension report holds at level n, to the last bit
+    return estimate_dimension(f, n).formula[-1]
 
 
 def estimate_dimension(f: SequenceFamily, n_max: int,
@@ -167,12 +160,11 @@ def empirical_cover_fit(f: SequenceFamily, depths: Sequence[int],
     # the limit as the walk reaches it, in increasing depth
     wanted = set(depth_list)
     points: dict[int, tuple[float, float]] = {}
-    walk = f.iter_counts_and_max_lengths(max(depth_list))
-    for d, (count, length) in enumerate(walk, start=1):
-        if d in wanted:
-            if limit is not None and count > limit:
-                raise SizeLimitError(count, limit, f"depth {d}")
-            points[d] = (-log_rational(length), log_rational(count))
+    for lq in f.iter_level_quantities(max(depth_list)):
+        if lq.n in wanted:
+            if limit is not None and lq.count > limit:
+                raise SizeLimitError(lq.count, limit, f"depth {lq.n}")
+            points[lq.n] = (-log_rational(lq.max_length), log_rational(lq.count))
     xs = [points[d][0] for d in depth_list]
     ys = [points[d][1] for d in depth_list]
     # plain left-to-right sums: sum() of floats is compensated from

@@ -37,10 +37,15 @@ class SizeLimitError(EngelDimError):
     def __init__(self, count: int, limit: int, what: str):
         shown = count
         if count >= 10**40:
-            # log10 errs by far less than 1, either way; a power of 10 settles k
-            k = int(math.log10(count))
-            power = 10**k
-            shown = f"at least 10^{k + (power * 10 <= count) - (power > count)}"
+            # log10 of a big int errs by about k*2**-50; only a value that
+            # close to an integer k needs the power 10**k to settle its floor
+            log10 = math.log10(count)
+            k = round(log10)
+            if abs(log10 - k) > log10 * 2**-40:
+                k = math.floor(log10)
+            elif 10**k > count:
+                k -= 1
+            shown = f"at least 10^{k}"
         super().__init__(f"{what} holds {shown} intervals, limit {limit}")
         self.count = count
         self.limit = limit

@@ -74,7 +74,10 @@ def test_cylinder_reports_the_words_reconstruction_and_length(capsys):
     (10**512, "at least 10^512"),
     (10**1000 - 1, "at least 10^999"),
     (10**1000, "at least 10^1000"),
-], ids=["17-digits", "40-digits", "41-digits", "10^512", "10^1000-1", "10^1000"])
+    # the count of level 2000 of (2^n, 2^n), far from a power of ten
+    (2**2001000, "at least 10^602361"),
+], ids=["17-digits", "40-digits", "41-digits", "10^512", "10^1000-1", "10^1000",
+        "2^2001000"])
 def test_size_refusal_shows_a_long_count_by_its_digits(count, shown):
     err = SizeLimitError(count, 100, "level 10")
     assert str(err) == f"level 10 holds {shown} intervals, limit 100"

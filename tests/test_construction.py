@@ -1,8 +1,11 @@
 import collections
 import gc
+import inspect
 import itertools
+import math
 import random
 import tracemalloc
+import types
 import weakref
 from fractions import Fraction as F
 from math import floor
@@ -24,6 +27,7 @@ from engeldim import (
     formula_quotient,
     is_admissible,
 )
+from engeldim import construction, dimension
 
 
 def random_valid_table(rng: random.Random, depth: int, t_max: int = 8):
@@ -478,8 +482,9 @@ def test_level_bounds_fail_where_the_level_intervals_do(pairs, n):
     fam = SequenceFamily.from_pairs(pairs)
     errors = [level_error(call) for call in (
         lambda: fam.min_gap(n), lambda: fam.diameter_bound(n),
-        lambda: fam.level_quantities(n), lambda: fam.gap_bound(n))]
-    assert errors == [errors[0]] * 4
+        lambda: fam.level_quantities(n), lambda: fam.gap_bound(n),
+        lambda: fam.max_interval_length(n))]
+    assert errors == [errors[0]] * 5
 
 
 def test_level_quantities_consistency(fam42):
@@ -490,6 +495,7 @@ def test_level_quantities_consistency(fam42):
         assert quantities.branch_counts[-1] == fam42.branch_count(n)
         assert quantities.diameter_bound == fam42.diameter_bound(n)
         assert quantities.gap_bound == fam42.gap_bound(n)
+        assert quantities.max_length == fam42.max_interval_length(n)
 
 
 def test_iter_level_quantities_matches_single_level_calls(fam21):
@@ -497,6 +503,55 @@ def test_iter_level_quantities_matches_single_level_calls(fam21):
     assert [q.n for q in swept] == list(range(1, 7))
     for quantities in swept:
         assert quantities == fam21.level_quantities(quantities.n)
+
+
+def rational_table_family() -> SequenceFamily:
+    """Valid 11-level table whose terms are not integers."""
+    pairs, s = [], F(9, 2)
+    for k in range(11):
+        t = F(5, 2) + F(k, 3)
+        pairs.append((s, t))
+        s += t + F(1, 7)
+    return SequenceFamily.from_pairs(pairs)
+
+
+def test_level_sweep_matches_the_paper_formulas(test_families):
+    # N_n, delta_n, epsilon_n and the longest level-n length from s(k),
+    # t(k) and floor alone, sharing no code with the sweep
+    for fam in [*test_families, rational_table_family()]:
+        s, t = fam.s, fam.t
+        for lq in fam.iter_level_quantities(10):
+            n = lq.n
+            prod_s = math.prod((s(k) for k in range(1, n + 1)), start=F(1))
+            count = math.prod(floor(s(k) + t(k)) - floor(s(k))
+                              for k in range(1, n + 1))
+            corner = math.prod(floor(s(k)) + 1 for k in range(1, n + 1))
+            j_min, j_max = floor(s(n + 1)) + 1, floor(s(n + 1) + t(n + 1))
+            assert lq.count == count
+            assert lq.diameter_bound == 4 * t(n + 1) / (prod_s * s(n + 1) ** 2)
+            assert lq.gap_bound == 1 / (2 ** (n + 3) * prod_s * s(n))
+            assert lq.max_length == (F(1, corner * (j_min - 1))
+                                     - F(1, corner * j_max))
+
+
+def test_a_single_level_read_builds_only_its_own_fractions(monkeypatch, fam42):
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(construction, "Fraction", counting_fraction)
+    quantities = fam42.level_quantities(300)
+    assert built == []
+    assert quantities.diameter_bound > 0
+    assert len(built) == 1
+    built.clear()
+    fam42.max_interval_length(300)
+    assert len(built) == 1
+    built.clear()
+    empirical_cover_fit(fam42, [2, 40], limit=None)
+    assert len(built) == 2
 
 
 # -- randomized table families -------------------------------------------------------
@@ -561,6 +616,7 @@ def counting_family():
 
 
 SINGLE_PASS_OPERATIONS = {
+    "levels": lambda f: list(f.levels(6)),
     "digit_range": lambda f: f.digit_range(4),
     "branch_count": lambda f: f.branch_count(4),
     "word_count": lambda f: f.word_count(4),
@@ -571,7 +627,6 @@ SINGLE_PASS_OPERATIONS = {
     "level_intervals": lambda f: f.level_intervals(3),
     "min_gap": lambda f: f.min_gap(3),
     "max_interval_length": lambda f: f.max_interval_length(4),
-    "iter_counts_and_max_lengths": lambda f: list(f.iter_counts_and_max_lengths(4)),
     "diameter_bound": lambda f: f.diameter_bound(4),
     "gap_bound": lambda f: f.gap_bound(4),
     "iter_level_quantities": lambda f: list(f.iter_level_quantities(6)),
@@ -590,6 +645,28 @@ def test_each_operation_evaluates_each_index_at_most_once(name):
     assert calls, "the operation evaluated no sequence value"
     repeated = {key: count for key, count in calls.items() if count > 1}
     assert repeated == {}
+
+
+# public names that walk no levels, each with the reason
+NOT_LEVEL_READERS = {
+    "geometric": "constructor",
+    "power_geometric": "constructor",
+    "from_pairs": "constructor",
+    "from_function": "constructor",
+    "s": "evaluates one term",
+    "t": "evaluates one term",
+}
+
+
+def test_every_public_reader_is_in_the_single_pass_registry():
+    methods = {name for name, value in vars(SequenceFamily).items()
+               if not name.startswith("_")
+               and isinstance(value, (types.FunctionType, classmethod))}
+    functions = {name for name, value in vars(dimension).items()
+                 if not name.startswith("_") and inspect.isfunction(value)
+                 and value.__module__ == dimension.__name__}
+    assert methods | functions == set(SINGLE_PASS_OPERATIONS) | set(NOT_LEVEL_READERS)
+    assert set(SINGLE_PASS_OPERATIONS) & set(NOT_LEVEL_READERS) == set()
 
 
 WINDOW_READERS = {

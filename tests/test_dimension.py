@@ -83,6 +83,19 @@ def test_formula_quotient_matches_closed_forms(fam42, fam22, fam21):
             )
 
 
+@pytest.mark.parametrize("fam", [
+    SequenceFamily.geometric(4, 2),
+    SequenceFamily.geometric(2, 2),
+    SequenceFamily.power_geometric(4, F(1, 2)),
+    SequenceFamily.geometric(2, 1, t_coef=2),
+    SequenceFamily.geometric(3, 2),
+], ids=["4n-2n", "2n-2n", "power-geometric-4-half", "2n-2", "3n-2n"])
+def test_formula_quotient_is_the_reported_value_to_the_bit(fam):
+    report = estimate_dimension(fam, 300)
+    for n in range(1, 301):
+        assert formula_quotient(fam, n) == report.formula[n - 1], n
+
+
 def test_formula_quotient_validates_level(fam42):
     with pytest.raises(DomainError):
         formula_quotient(fam42, 0)
