@@ -14,7 +14,8 @@ decimal strings, so identical configurations produce byte-identical output.
 The exact N_n, delta_n and epsilon_n columns of quantities and dim reach
 tens of thousands of digits, and CPython 3.11 converts an int to decimal in
 quadratic time; each of their cells is rendered from the exact Decimal of
-the cell above it instead, in time linear in its length.
+the cell above it instead, in time linear in its length; one long
+division per cell, as a rule, finds the ratio of the two.
 
 A command is one row of _COMMANDS, which names its flags and its runner.
 The runner returns a Report, one row source per format, and one writer per
@@ -314,11 +315,17 @@ def _decimal_column() -> Callable[[int], str]:
 
     def render(x: int) -> str:
         nonlocal prev, prev_dec
-        if x and prev and x % prev == 0:
-            dec = ctx.multiply(prev_dec, x // prev)
-        elif x and prev and prev % x == 0:
-            dec = ctx.divide_int(prev_dec, prev // x)
-        else:
+        dec = None
+        if x and prev:
+            # one long division finds the ratio and tells whether it is exact
+            ratio, rest = divmod(x, prev)
+            if not rest:
+                dec = ctx.multiply(prev_dec, ratio)
+            else:
+                ratio, rest = divmod(prev, x)
+                if not rest:
+                    dec = ctx.divide_int(prev_dec, ratio)
+        if dec is None:
             dec = Decimal(x)
         prev, prev_dec = x, dec
         return str(dec)

@@ -21,7 +21,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, prod
+from math import floor
 from typing import Callable, Iterable, Iterator
 
 from .engel import DigitWord, RatInterval, _prefix_interval, _prefix_state
@@ -71,15 +71,15 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class LevelQuantities:
-    """Exact bookkeeping for one level: count, branching, and the running
-    products that both bounds and the longest length are built from when
-    read, so a reader of one level pays for that level's Fractions only."""
+    """Exact bookkeeping for one level: count, branching, and what both
+    bounds and the longest length are built from when read, so a reader of
+    one level pays for that level's Fractions only."""
 
     n: int
     count: int
     branch_counts: tuple[int, ...]
     prod_s: int | Fraction  # s_1...s_n
-    prod_lo: int  # product of the window starts j_min of levels 1..n
+    window_starts: tuple[int, ...]  # the window starts j_min of levels 1..n
     s_n: int | Fraction
     next_level: tuple[int | Fraction, int | Fraction, int, int]  # level n+1 (s, t, lo, hi)
 
@@ -87,22 +87,25 @@ class LevelQuantities:
     def diameter_bound(self) -> Fraction:
         """delta_n = 4*t_{n+1}/(s_1...s_n * s_{n+1}**2)."""
         s_next, t_next, _, _ = self.next_level
-        # prod_s is an int while the terms are, and each bound divides a
-        # small Fraction by it, so reducing the bound takes gcds of big
-        # values with small ones only, never of two big values
-        return Fraction(4 * t_next) / (self.prod_s * s_next * s_next)
+        # the small factors are multiplied first, so the bound costs one
+        # big multiply and one reduction.  prod_s is an int while the terms
+        # are, and the numerator is small, so the reduction takes gcds of
+        # big values with small ones only, never of two big values
+        return Fraction(4 * t_next, self.prod_s * (s_next * s_next))
 
     @property
     def gap_bound(self) -> Fraction:
         """epsilon_n = 1/(2**(n+3) * s_1...s_n * s_n)."""
-        return Fraction(1) / (self.prod_s * self.s_n * 2 ** (self.n + 3))
+        return Fraction(1, self.prod_s * (self.s_n * 2 ** (self.n + 3)))
 
     @property
     def max_length(self) -> Fraction:
         """Longest level-n interval length, the all-minimal word's:
-        1/(prod_lo*(j_min - 1)) - 1/(prod_lo*j_max) over window n+1."""
+        1/(P*(j_min - 1)) - 1/(P*j_max) over window n+1, with P the
+        product of the window starts."""
         _, _, j_min, j_max = self.next_level
-        return Fraction(j_max - j_min + 1, self.prod_lo * (j_min - 1) * j_max)
+        return Fraction(j_max - j_min + 1,
+                        _balanced_prod(self.window_starts) * (j_min - 1) * j_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +333,7 @@ class SequenceFamily:
 
     def word_count(self, n: int) -> int:
         """Exact number of level-n words: the product of the branch counts."""
-        return prod(hi - lo + 1 for lo, hi in self._windows(n))
+        return _balanced_prod(hi - lo + 1 for lo, hi in self._windows(n))
 
     def iter_words(self, n: int, limit: int | None = None) -> Iterator[DigitWord]:
         """Yield the level-n words in lexicographic order.
@@ -377,7 +380,7 @@ class SequenceFamily:
         intervals = [
             _prefix_interval(*_prefix_state(w), j_min, j_max) for w in words
         ]
-        return prod(hi - lo + 1 for lo, hi in windows), words, intervals
+        return _balanced_prod(hi - lo + 1 for lo, hi in windows), words, intervals
 
     # -- basic intervals -------------------------------------------------
 
@@ -417,7 +420,7 @@ class SequenceFamily:
         if n == 0:
             return [RatInterval(Fraction(0), Fraction(1), True, True)]
         *windows, (j_min, j_max) = self._windows(n + 1)
-        total = prod(hi - lo + 1 for lo, hi in windows)
+        total = _balanced_prod(hi - lo + 1 for lo, hi in windows)
         if limit is not None and total > limit:
             raise SizeLimitError(total, limit, f"level {n}")
         *head, (lo, hi) = windows
@@ -472,18 +475,19 @@ class SequenceFamily:
         """
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
-        prod_s = prod_lo = count = 1
+        prod_s = count = 1
         branches: list[int] = []
+        starts: list[int] = []
         # level n's intervals are built from window n + 1, so walk to it
         walk = itertools.pairwise(self.levels(depth + 1))
         for n, ((s_n, _, lo, hi), next_level) in enumerate(walk, 1):
             prod_s *= s_n
-            prod_lo *= lo
+            starts.append(lo)
             m = hi - lo + 1
             branches.append(m)
             count *= m
-            yield LevelQuantities(n, count, tuple(branches), prod_s, prod_lo,
-                                  s_n, next_level)
+            yield LevelQuantities(n, count, tuple(branches), prod_s,
+                                  tuple(starts), s_n, next_level)
 
     def level_quantities(self, n: int) -> LevelQuantities:
         """The quantities of one level: the last of iter_level_quantities(n)."""
@@ -508,6 +512,19 @@ def smallest_gap(intervals: Iterable[RatInterval]) -> Fraction | None:
         if best_num is None or num * best_den < best_num * den:
             best_num, best_den = num, den
     return None if best_num is None else Fraction(best_num, best_den)
+
+
+def _balanced_prod(factors: Iterable[int]) -> int:
+    """Product of the factors, 1 for none, multiplied pairwise round by
+    round: each big multiply then takes operands of like size, where a
+    left-to-right product multiplies an ever longer int by a short one."""
+    values = list(factors)
+    while len(values) > 1:
+        paired = [a * b for a, b in zip(values[::2], values[1::2])]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0] if values else 1
 
 
 def _geometric_terms(coef: Fraction, ratio: Fraction) -> Iterator[int | Fraction]:

@@ -19,11 +19,10 @@ natural base is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
 from math import log
 from typing import Sequence
 
-from .construction import SequenceFamily
+from .construction import SequenceFamily, _balanced_prod
 from .errors import DomainError, SizeLimitError
 from .ratmath import log_rational
 
@@ -103,29 +102,35 @@ def estimate_dimension(f: SequenceFamily, n_max: int,
             f"tail_window must lie in [1, {n_max}], got {tail_window}"
         )
 
-    # one shared sweep: prefix sums of the floated logs; every branch
-    # count is computed exactly, from the walker's window, before its log
-    logs = (
-        (log_rational(s_k), log_rational(t_k), log_rational(j_max - j_min + 1))
-        for s_k, t_k, j_min, j_max in f.levels(n_max + 1)
-    )
+    # one shared sweep: prefix sums of the floated logs.  Each pass takes
+    # the logs of the level it reaches, n + 1, and completes level n's
+    # quotients.  Every branch count is computed exactly, from the walker's
+    # window; a window over an integral t_k holds t_k digits, so the log of
+    # t_k serves for both
     formula: list[float] = []
     upper: list[float] = []
     lower: list[float | None] = []
     sum_log_s = sum_log_t = sum_log_m = 0.0
-    walk = pairwise(logs)
-    for n, ((log_s, log_t, log_m), (log_s_next, log_t_next, _)) in enumerate(walk, 1):
-        sum_log_s += log_s
-        sum_log_t += log_t
-        # -log(m_n * epsilon_n), epsilon_n = 2^-(n+3) / (s_1...s_n * s_n);
-        # the numerator sums log m_k over k < n, none at n = 1
-        lower.append(None if n == 1 else sum_log_m / (
-            (n + 3) * LOG2 + sum_log_s + log_s - log_m))
-        sum_log_m += log_m
-        den_formula = sum_log_s + 2 * log_s_next - log_t_next
-        formula.append(sum_log_t / den_formula)
-        # -log delta_n with delta_n = (1/(s_1...s_n)) * 4 t_{n+1} / s_{n+1}^2
-        upper.append(sum_log_m / (den_formula - LOG4))
+    n = 0
+    for s_k, t_k, j_min, j_max in f.levels(n_max + 1):
+        log_s_next = log_rational(s_k)
+        log_t_next = log_rational(t_k)
+        m = j_max - j_min + 1
+        log_m_next = log_t_next if m == t_k else log_rational(m)
+        if n:
+            sum_log_s += log_s
+            sum_log_t += log_t
+            # -log(m_n * epsilon_n), epsilon_n = 2^-(n+3) / (s_1...s_n * s_n);
+            # the numerator sums log m_k over k < n, none at n = 1
+            lower.append(None if n == 1 else sum_log_m / (
+                (n + 3) * LOG2 + sum_log_s + log_s - log_m))
+            sum_log_m += log_m
+            den_formula = sum_log_s + 2 * log_s_next - log_t_next
+            formula.append(sum_log_t / den_formula)
+            # -log delta_n with delta_n = (1/(s_1...s_n)) * 4 t_{n+1} / s_{n+1}^2
+            upper.append(sum_log_m / (den_formula - LOG4))
+        n += 1
+        log_s, log_t, log_m = log_s_next, log_t_next, log_m_next
 
     tail = formula[-tail_window:]
     tail_min = min(tail)
@@ -156,14 +161,21 @@ def empirical_cover_fit(f: SequenceFamily, depths: Sequence[int],
         raise DomainError("cover fit needs at least two depths")
     if any(d < 1 for d in depth_list):
         raise DomainError(f"depths must be >= 1, got {list(depth_list)}")
-    # one walk serves every depth; each depth's count is checked against
-    # the limit as the walk reaches it, in increasing depth
+    # one walk serves every depth, and the count is checked against the
+    # limit at every level.  Every window holds at least 2 digits, so counts
+    # rise strictly: once one passes the limit, the smallest wanted depth
+    # at or past its level is the one refused, and the walk stops there
     wanted = set(depth_list)
     points: dict[int, tuple[float, float]] = {}
     for lq in f.iter_level_quantities(max(depth_list)):
+        if limit is not None and lq.count > limit:
+            refused = min(d for d in wanted if d >= lq.n)
+            # its count from the windows of the walk that would reach it,
+            # to level refused + 1, so an error up to there still comes first
+            *windows, _ = f._windows(refused + 1)
+            count = _balanced_prod(hi - lo + 1 for lo, hi in windows)
+            raise SizeLimitError(count, limit, f"depth {refused}")
         if lq.n in wanted:
-            if limit is not None and lq.count > limit:
-                raise SizeLimitError(lq.count, limit, f"depth {lq.n}")
             points[lq.n] = (-log_rational(lq.max_length), log_rational(lq.count))
     xs = [points[d][0] for d in depth_list]
     ys = [points[d][1] for d in depth_list]

@@ -35,6 +35,9 @@ def log_rational(value) -> float:
     is rounded once, rescaled by a power of two if it would overflow or
     underflow, and the power is added back as k * log 2.
     """
+    if type(value) is int and value > 0:
+        # the den == 1 path below, without reading two attributes
+        return math.log(value)
     num = value.numerator
     den = value.denominator
     if num <= 0:

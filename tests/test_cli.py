@@ -340,6 +340,28 @@ def test_size_limit_exit_one(capsys):
     assert "limit" in err
 
 
+# a deep refusal writes only its message: the count of level 2000 of
+# (2^n, 2^n) is 2^2001000, whose decimal form has 602,362 digits
+DEEP_REFUSALS = {
+    "level": (["level", "--depth", "2000"],
+              "error: level 2000 holds at least 10^602361 intervals, limit 1000000\n"),
+    "cover-fit-2-2000": (["cover-fit", "--depths", "2,2000"],
+                         "error: depth 2000 holds at least 10^602361 intervals,"
+                         " limit 16777216\n"),
+    "cover-fit-2000-2": (["cover-fit", "--depths", "2000,2"],
+                         "error: depth 2000 holds at least 10^602361 intervals,"
+                         " limit 16777216\n"),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_REFUSALS)
+def test_deep_refusals_write_their_message_only(case, capsys):
+    (command, *flags), stderr = DEEP_REFUSALS[case]
+    result = run_cli(capsys, command, "--family", "geometric", "--s", "2",
+                     "--t", "2", *flags)
+    assert result == (1, "", stderr)
+
+
 def test_level_json_lists_sorted_intervals(capsys):
     code, out, _ = run_cli(
         capsys, "level", "--family", "geometric", "--s", "4", "--t", "2",

@@ -528,10 +528,24 @@ def test_level_sweep_matches_the_paper_formulas(test_families):
             corner = math.prod(floor(s(k)) + 1 for k in range(1, n + 1))
             j_min, j_max = floor(s(n + 1)) + 1, floor(s(n + 1) + t(n + 1))
             assert lq.count == count
+            assert lq.window_starts == tuple(floor(s(k)) + 1 for k in range(1, n + 1))
             assert lq.diameter_bound == 4 * t(n + 1) / (prod_s * s(n + 1) ** 2)
             assert lq.gap_bound == 1 / (2 ** (n + 3) * prod_s * s(n))
             assert lq.max_length == (F(1, corner * (j_min - 1))
                                      - F(1, corner * j_max))
+
+
+def test_balanced_product_equals_the_sequential_product():
+    assert construction._balanced_prod([]) == math.prod([]) == 1
+    assert construction._balanced_prod([7]) == 7
+    rng = random.Random(2024)
+    for size in (2, 3, 5, 8, 33, 100):
+        for bits in (3, 64, 5000):
+            factors = [rng.getrandbits(bits) + 2 for _ in range(size)]
+            assert construction._balanced_prod(factors) == math.prod(factors)
+        mixed = [rng.choice((rng.randint(2, 9), rng.getrandbits(3000)))
+                 for _ in range(size)]
+        assert construction._balanced_prod(iter(mixed)) == math.prod(mixed)
 
 
 def test_a_single_level_read_builds_only_its_own_fractions(monkeypatch, fam42):

@@ -6,6 +6,7 @@ import pytest
 
 from engeldim import (
     DomainError,
+    EvaluationError,
     SequenceFamily,
     SizeLimitError,
     empirical_cover_fit,
@@ -94,6 +95,65 @@ def test_formula_quotient_is_the_reported_value_to_the_bit(fam):
     report = estimate_dimension(fam, 300)
     for n in range(1, 301):
         assert formula_quotient(fam, n) == report.formula[n - 1], n
+
+
+def independent_fold(f: SequenceFamily, n_max: int):
+    """formula, upper and lower of levels 1..n_max from s(k), t(k) and
+    branch_count(k), summed in the order the report sums them."""
+    logs = [(log_rational(f.s(k)), log_rational(f.t(k)),
+             log_rational(f.branch_count(k))) for k in range(1, n_max + 2)]
+    formula, upper, lower = [], [], []
+    sum_s = sum_t = sum_m = 0.0
+    for n in range(1, n_max + 1):
+        (log_s, log_t, log_m), (log_s_next, log_t_next, _) = logs[n - 1], logs[n]
+        sum_s += log_s
+        sum_t += log_t
+        lower.append(None if n == 1 else sum_m / (
+            (n + 3) * math.log(2) + sum_s + log_s - log_m))
+        sum_m += log_m
+        den = sum_s + 2 * log_s_next - log_t_next
+        formula.append(sum_t / den)
+        upper.append(sum_m / (den - math.log(4)))
+    return tuple(formula), tuple(upper), tuple(lower)
+
+
+def rational_table(entries: int) -> SequenceFamily:
+    """Valid table whose s_k are never and whose t_k are sometimes integral."""
+    pairs, s = [], F(9, 2)
+    for k in range(entries):
+        t = F(5, 2) + F(k, 2)
+        pairs.append((s, t))
+        s += t + F(k % 3, 7)
+    return SequenceFamily.from_pairs(pairs)
+
+
+@pytest.mark.parametrize("fam", [
+    SequenceFamily.geometric(4, 2),
+    SequenceFamily.geometric(2, 2),
+    SequenceFamily.geometric(2, 1, t_coef=2),
+    SequenceFamily.geometric(3, 2),
+    SequenceFamily.power_geometric(4, F(1, 2)),
+    SequenceFamily.geometric(F(10, 3), F(7, 3), 3, 2),
+    rational_table(301),
+], ids=["4n-2n", "2n-2n", "2n-2", "3n-2n", "power-geometric-4-half",
+        "fraction-terms", "rational-table"])
+def test_report_equals_an_independent_fold_to_the_bit(fam):
+    formula, upper, lower = independent_fold(fam, 300)
+    for n_max in range(1, 301):
+        report = estimate_dimension(fam, n_max)
+        assert report.formula == formula[:n_max], n_max
+        assert report.upper == upper[:n_max], n_max
+        assert report.lower == lower[:n_max], n_max
+
+
+def test_fold_families_take_both_branch_count_paths():
+    # the fraction-terms family has no integral t_k, so no window holds
+    # t_k digits; the table has windows of both kinds
+    fam = SequenceFamily.geometric(F(10, 3), F(7, 3), 3, 2)
+    assert all(fam.t(k).denominator > 1 for k in range(1, 302))
+    table = rational_table(301)
+    assert {table.t(k) == table.branch_count(k) for k in range(1, 302)} == {
+        True, False}
 
 
 def test_formula_quotient_validates_level(fam42):
@@ -270,6 +330,38 @@ def test_cover_fit_respects_the_level_limit(fam22):
     with pytest.raises(SizeLimitError) as info:
         empirical_cover_fit(fam22, [2, 6], limit=1000)
     assert info.value.count == 2**21
+
+
+def _outcome(call):
+    try:
+        call()
+    except (SizeLimitError, EvaluationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _full_sweep_refusal(f: SequenceFamily, depths, limit: int) -> None:
+    # a walk of every level to the deepest depth that checks the count
+    # at the wanted depths only
+    for lq in f.iter_level_quantities(max(depths)):
+        if lq.n in depths and lq.count > limit:
+            raise SizeLimitError(lq.count, limit, f"depth {lq.n}")
+
+
+def test_cover_fit_refusals_agree_with_a_full_sweep():
+    # tables that end before, at and past the level the refused depth
+    # reads: an EvaluationError up to level refused + 1 still comes first
+    pairs = [(2**k, 2**k) for k in range(1, 14)]
+    seen = set()
+    for entries in range(2, 14):
+        fam = SequenceFamily.from_pairs(pairs[:entries])
+        for deepest in range(3, 15):
+            for depths in ([2, deepest], [deepest, 2], [1, 3, deepest, 5]):
+                expected = _outcome(lambda: _full_sweep_refusal(fam, depths, 1000))
+                got = _outcome(lambda: empirical_cover_fit(fam, depths, 1000))
+                assert got == expected, (entries, depths)
+                seen.add(None if expected is None else expected[0])
+    assert seen == {None, SizeLimitError, EvaluationError}
 
 
 def test_cover_fit_is_scale_free_in_the_point_order(fam22):

@@ -17,8 +17,8 @@ not multiples or divisors of the row before.  They also cover full levels:
 mixed branching as text and json, which state the minimum gap.
 
 The same cases and digests are also replayed through `python -m engeldim`
-under every python3.10 to python3.13 on PATH, since the output must not
-depend on the interpreter.
+under every python3.10 to python3.13 on PATH, or installed by pyenv, since
+the output must not depend on the interpreter.
 """
 
 import hashlib
@@ -76,12 +76,30 @@ def test_cli_matches_golden_digest(case, capsys):
     assert captured.err == case["stderr"]
 
 
+def _runs(exe) -> bool:
+    return exe is not None and subprocess.run(
+        [exe, "-c", "pass"], capture_output=True, timeout=60).returncode == 0
+
+
+def _interpreter(python):
+    """A runnable python3.<minor>: the one on PATH, else one that pyenv
+    installed, as pyenv's shim on PATH runs only the versions it selects;
+    None when neither runs."""
+    exe = shutil.which(python)
+    if _runs(exe):
+        return exe
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    minor = python.removeprefix("python")
+    for candidate in sorted(root.glob(f"versions/{minor}.*/bin/{python}")):
+        if _runs(str(candidate)):
+            return str(candidate)
+    return None
+
+
 @pytest.mark.parametrize("python", [f"python3.{minor}" for minor in range(10, 14)])
 def test_every_interpreter_replays_the_goldens(python):
-    exe = shutil.which(python)
-    # a version manager's shim can be on PATH without the interpreter behind it
-    if exe is None or subprocess.run([exe, "-c", "pass"], capture_output=True,
-                                     timeout=60).returncode != 0:
+    exe = _interpreter(python)
+    if exe is None:
         pytest.skip(f"{python} does not run here")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -39,6 +39,10 @@ def test_log_rational_known_values():
     assert _rel_err(log_rational(F(2**5000, 3)), expected) <= REL_BOUND
     assert _rel_err(log_rational(F(3, 2**5000)), -expected) <= REL_BOUND
     assert _rel_err(log_rational(10**400), 400 * math.log(10)) <= REL_BOUND
+    # a positive int is logged by math.log itself, to the bit
+    for value in (2, 10**400, 2**5000):
+        assert log_rational(value) == math.log(value)
+    assert log_rational(True) == 0.0
 
 
 def test_log_rational_rejects_nonpositive_values():
