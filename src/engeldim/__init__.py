@@ -31,7 +31,6 @@ from .engel import (
     cylinder_interval,
     cylinder_length,
     engel_digits,
-    engel_map,
     is_admissible,
     reconstruct,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "cylinder_length",
     "empirical_cover_fit",
     "engel_digits",
-    "engel_map",
     "estimate_dimension",
     "formula_quotient",
     "is_admissible",

@@ -345,23 +345,15 @@ def _fraction_column() -> Callable[[Fraction], str]:
     return render
 
 
-def _exact_cells(
-    levels: Iterable[LevelQuantities],
-) -> Iterator[tuple[LevelQuantities, str, str, str]]:
-    """Yield each level with its N_n, delta_n and epsilon_n cells."""
-    count, delta, gap = _decimal_column(), _fraction_column(), _fraction_column()
-    for lq in levels:
-        yield lq, count(lq.count), delta(lq.diameter_bound), gap(lq.gap_bound)
-
-
 def _exact_rows(
     family: SequenceFamily, depth: int, columns: Callable[[LevelQuantities], dict]
 ) -> Iterator[dict]:
     """One flat row per level to depth: n, the command's own columns for
     the level, then its exact N_n, delta_n and epsilon_n cells."""
-    for lq, count, delta, gap in _exact_cells(family.iter_level_quantities(depth)):
-        yield {"n": lq.n, **columns(lq),
-               "N_n": count, "delta_n": delta, "epsilon_n": gap}
+    count, delta, gap = _decimal_column(), _fraction_column(), _fraction_column()
+    for lq in family.iter_level_quantities(depth):
+        yield {"n": lq.n, **columns(lq), "N_n": count(lq.count),
+               "delta_n": delta(lq.diameter_bound), "epsilon_n": gap(lq.gap_bound)}
 
 
 # -- reports and their writers ---------------------------------------------

@@ -119,8 +119,8 @@ class SequenceFamily:
 
     kind: str
     description: str
-    _s_fn: Callable[[int], Fraction]
-    _t_fn: Callable[[int], Fraction]
+    _s_fn: Callable[[int], object]  # each value goes through Fraction()
+    _t_fn: Callable[[int], object]
     _diverges: bool | None  # True certified, False refuted, None unknown
     # (s_n, t_n) for n = 1, 2, ... to walk; None walks s(n) and t(n)
     _terms: Callable[[], Iterator[tuple[int | Fraction, int | Fraction]]] | None = None
@@ -130,8 +130,8 @@ class SequenceFamily:
     @classmethod
     def geometric(cls, s_ratio, t_ratio, s_coef=1, t_coef=1) -> "SequenceFamily":
         """s_n = s_coef * s_ratio**n and t_n = t_coef * t_ratio**n."""
-        sr, tr = Fraction(s_ratio), Fraction(t_ratio)
-        sc, tc = Fraction(s_coef), Fraction(t_coef)
+        sr, tr = _to_rational(s_ratio, "s_ratio"), _to_rational(t_ratio, "t_ratio")
+        sc, tc = _to_rational(s_coef, "s_coef"), _to_rational(t_coef, "t_coef")
         for label, v in (("s_ratio", sr), ("t_ratio", tr),
                          ("s_coef", sc), ("t_coef", tc)):
             if v <= 0:
@@ -157,8 +157,8 @@ class SequenceFamily:
         rational; otherwise the family cannot be represented exactly and
         an explicit-pair family should be used instead.
         """
-        b = Fraction(base)
-        th = Fraction(theta)
+        b = _to_rational(base, "base")
+        th = _to_rational(theta, "theta")
         if b <= 0:
             raise DomainError(f"base must be positive, got {b}")
         if th <= 0:
@@ -189,26 +189,16 @@ class SequenceFamily:
                 )
             return table[n - 1][column]
 
-        return cls(
-            kind="explicit-pair",
-            description=f"table of {len(table)} (s, t) pairs",
-            _s_fn=lambda n: lookup(n, 0),
-            _t_fn=lambda n: lookup(n, 1),
-            _diverges=None,
-        )
+        return cls.from_function(lambda n: lookup(n, 0), lambda n: lookup(n, 1),
+                                 f"table of {len(table)} (s, t) pairs")
 
     @classmethod
     def from_function(cls, s_fn: Callable[[int], object],
                       t_fn: Callable[[int], object],
                       description: str = "closure-defined family") -> "SequenceFamily":
         """Family backed by arbitrary callables returning rationals."""
-        return cls(
-            kind="explicit-pair",
-            description=description,
-            _s_fn=lambda n: Fraction(s_fn(n)),
-            _t_fn=lambda n: Fraction(t_fn(n)),
-            _diverges=None,
-        )
+        return cls(kind="explicit-pair", description=description,
+                   _s_fn=s_fn, _t_fn=t_fn, _diverges=None)
 
     # -- raw sequence access ------------------------------------------
 
@@ -326,48 +316,29 @@ class SequenceFamily:
             raise DomainError(f"sequence index must be >= 1, got {k}")
         return self._windows(k)[-1]
 
-    def branch_count(self, k: int) -> int:
-        """Number of admissible digits at level k."""
-        j_min, j_max = self.digit_range(k)
-        return j_max - j_min + 1
-
     def word_count(self, n: int) -> int:
         """Exact number of level-n words: the product of the branch counts."""
         return _balanced_prod(hi - lo + 1 for lo, hi in self._windows(n))
 
-    def iter_words(self, n: int, limit: int | None = None) -> Iterator[DigitWord]:
+    def iter_words(self, n: int) -> Iterator[DigitWord]:
         """Yield the level-n words in lexicographic order.
 
-        A limit truncates the stream after that many words; truncation is
-        detectable by comparing with word_count(n), it is not an error.
         Growth of the windows across levels makes every word admissible.
         """
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
         ranges = [range(lo, hi + 1) for lo, hi in self._windows(n)]
-        words = (DigitWord(combo) for combo in itertools.product(*ranges))
-        return words if limit is None else itertools.islice(words, limit)
-
-    def sample_words(self, n: int, count: int, rng: random.Random) -> list[DigitWord]:
-        """Draw level-n words uniformly; the level is a product of windows,
-        so independent uniform picks per level are uniform over the whole."""
-        if n < 1:
-            raise DomainError(f"level must be >= 1, got {n}")
-        if count < 1:
-            raise DomainError(f"count must be >= 1, got {count}")
-        windows = self._windows(n)
-        return [
-            DigitWord(rng.randint(j_min, j_max) for j_min, j_max in windows)
-            for _ in range(count)
-        ]
+        return (DigitWord(combo) for combo in itertools.product(*ranges))
 
     def sample_level(self, n: int, count: int, rng: random.Random
                      ) -> tuple[int, list[tuple[int, ...]], list[RatInterval]]:
         """Level-n word count, plus count uniformly drawn words and their
         basic intervals, all from one walk of levels 1..n+1.
 
-        The words are drawn exactly as sample_words draws them from the
-        same generator state.
+        Each word takes one rng.randint(lo, hi) per window, windows in level
+        order, and the words come in draw order.  The level is a product of
+        windows, so independent uniform picks per level are uniform over
+        the whole.
         """
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
@@ -443,15 +414,6 @@ class SequenceFamily:
         None when the level has fewer than two intervals.
         """
         return smallest_gap(self.level_intervals(n, limit))
-
-    def max_interval_length(self, n: int) -> Fraction:
-        """Largest basic-interval length at level n, in closed form.
-
-        The length of a word's interval depends on the word only through
-        its digit product, so the all-minimal word dominates the level and
-        no enumeration is needed.
-        """
-        return self.level_quantities(n).max_length
 
     # -- a priori bounds ---------------------------------------------------
 
@@ -538,13 +500,24 @@ def _geometric_terms(coef: Fraction, ratio: Fraction) -> Iterator[int | Fraction
         yield term
 
 
+# what Fraction() raises for a value that is not a rational
+_NOT_RATIONAL = (TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _to_rational(value, label: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except _NOT_RATIONAL as exc:
+        raise DomainError(f"{label} is not a rational: {value!r}") from exc
+
+
 def _validated_pairs(pairs: Iterable) -> tuple[tuple[Fraction, Fraction], ...]:
     table = []
     for idx, pair in enumerate(pairs, start=1):
         try:
             s_val, t_val = pair
             entry = (Fraction(s_val), Fraction(t_val))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except _NOT_RATIONAL as exc:
             raise DomainError(f"pair {idx} is not a rational pair: {pair!r}") from exc
         if entry[0] <= 0 or entry[1] <= 0:
             raise DomainError(f"pair {idx} must be positive, got ({entry[0]}, {entry[1]})")

@@ -74,9 +74,9 @@ class RatInterval:
         # cost an abstract-base-class check each
         order = hi.numerator * lo.denominator - lo.numerator * hi.denominator
         if order < 0:
-            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+            raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
         if order == 0 and not (self.lo_closed and self.hi_closed):
-            raise ValueError("a degenerate interval must be closed on both ends")
+            raise DomainError("a degenerate interval must be closed on both ends")
 
     @property
     def length(self) -> Fraction:
@@ -130,16 +130,6 @@ def _ceil_reciprocal(x: Fraction) -> int:
     return -((-x.denominator) // x.numerator)
 
 
-def engel_map(x) -> Fraction:
-    """One step of the digit map: x*ceil(1/x) - 1, with 0 fixed."""
-    x = Fraction(x)
-    if x < 0 or x >= 1:
-        raise DomainError(f"engel_map needs 0 <= x < 1, got {x}")
-    if x == 0:
-        return x
-    return x * _ceil_reciprocal(x) - 1
-
-
 def engel_digits(x, max_depth: int | None = None) -> ExpansionResult:
     """Extract the Engel digits of a rational x in (0, 1).
 
@@ -163,7 +153,7 @@ def engel_digits(x, max_depth: int | None = None) -> ExpansionResult:
             raise InternalError(f"expansion of {x} exceeded {cap} digits")
         d = _ceil_reciprocal(r)
         digits.append(d)
-        r = r * d - 1
+        r = r * d - 1  # T(r)
     return ExpansionResult(DigitWord(digits), r == 0, r)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import DomainError
+
 _LOG2 = math.log(2)
 
 # Binary exponent range in which num / den is a normal double with room
@@ -21,7 +23,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise DomainError(f"not a rational: {text!r}") from exc
 
 
 def log_rational(value) -> float:
@@ -41,7 +43,7 @@ def log_rational(value) -> float:
     num = value.numerator
     den = value.denominator
     if num <= 0:
-        raise ValueError(f"log of non-positive value {value}")
+        raise DomainError(f"log of non-positive value {value}")
     if den == 1:
         return math.log(num)
     if den < 2 * num < 4 * den:
@@ -62,7 +64,7 @@ def log_rational(value) -> float:
 def exact_kth_root(value: int, k: int) -> int | None:
     """Integer k-th root of value, or None when value is not a perfect power."""
     if value < 0 or k < 1:
-        raise ValueError("need value >= 0 and k >= 1")
+        raise DomainError("need value >= 0 and k >= 1")
     if k == 1 or value in (0, 1):
         return value
     root = _floor_kth_root(value, k)

@@ -57,11 +57,10 @@ def test_columns_are_independent():
 
 def test_exact_cells_match_str_on_a_rational_family():
     fam = SequenceFamily.geometric(F(10, 3), F(7, 3), s_coef=3, t_coef=2)
-    levels = list(fam.iter_level_quantities(40))
-    cells = list(cli._exact_cells(levels))
-    assert [cell[0] for cell in cells] == levels
-    assert [cell[1:] for cell in cells] == [
-        (str(lq.count), str(lq.diameter_bound), str(lq.gap_bound)) for lq in levels
+    levels = fam.iter_level_quantities(40)
+    assert list(cli._exact_rows(fam, 40, lambda lq: {})) == [
+        {"n": lq.n, "N_n": str(lq.count), "delta_n": str(lq.diameter_bound),
+         "epsilon_n": str(lq.gap_bound)} for lq in levels
     ]
 
 
@@ -98,7 +97,7 @@ def test_full_conversions_happen_only_where_the_chain_breaks(monkeypatch):
 def test_integer_families_convert_only_their_first_level(monkeypatch):
     converted = counting_decimal(monkeypatch)
     first = SequenceFamily.geometric(4, 2).level_quantities(1)
-    for _ in cli._exact_cells(SequenceFamily.geometric(4, 2).iter_level_quantities(60)):
+    for _ in cli._exact_rows(SequenceFamily.geometric(4, 2), 60, lambda lq: {}):
         pass
     assert sorted(converted) == sorted([
         first.count,

@@ -53,6 +53,26 @@ def test_geometric_rejects_nonpositive_parameters():
             SequenceFamily.geometric(*args)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SequenceFamily.geometric("x", 2), "s_ratio is not a rational: 'x'"),
+    (lambda: SequenceFamily.geometric(None, 2), "s_ratio is not a rational: None"),
+    (lambda: SequenceFamily.geometric(4, "2/0"), "t_ratio is not a rational: '2/0'"),
+    (lambda: SequenceFamily.geometric(4, 2, [1], 1), "s_coef is not a rational: [1]"),
+    (lambda: SequenceFamily.geometric(4, 2, 1, float("nan")),
+     "t_coef is not a rational: nan"),
+    (lambda: SequenceFamily.power_geometric("1/0", 1), "base is not a rational: '1/0'"),
+    (lambda: SequenceFamily.power_geometric(4, float("inf")),
+     "theta is not a rational: inf"),
+    (lambda: SequenceFamily.from_pairs([(float("inf"), 2)]),
+     "pair 1 is not a rational pair: (inf, 2)"),
+], ids=["text", "none", "zero-denominator", "list", "nan", "power-base",
+        "power-theta-inf", "pair-inf"])
+def test_constructors_name_a_non_rational_parameter(build, message):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_power_geometric_evaluates_exactly():
     fam = SequenceFamily.power_geometric(4, F(1, 2))
     assert fam.s(3) == 64
@@ -202,11 +222,11 @@ def test_digit_range_floors_rational_values():
     fam = SequenceFamily.from_pairs([(F(9, 2), 2), (F(27, 2), F(5, 2))])
     assert fam.digit_range(1) == (5, 6)
     fam = SequenceFamily.from_pairs([(F(9, 2), F(5, 2)), (F(27, 2), F(5, 2))])
-    assert fam.branch_count(1) == 3  # floor(7) - floor(9/2)
+    assert fam.digit_range(1) == (5, 7)  # floor(7) - floor(9/2) = 3 digits
 
 
 def test_branch_and_word_counts(fam42):
-    assert [fam42.branch_count(k) for k in (1, 2, 3)] == [2, 4, 8]
+    assert fam42.level_quantities(3).branch_counts == (2, 4, 8)
     assert fam42.word_count(3) == 64
     assert fam42.word_count(1) == 2
 
@@ -241,17 +261,22 @@ def test_iter_words_order_count_and_admissibility(fam42):
     assert all(is_admissible(w) for w in level2)
 
 
-def test_iter_words_truncates_at_limit(fam42):
-    assert len(list(fam42.iter_words(2, limit=3))) == 3
-    assert fam42.word_count(2) == 8  # truncation is visible by comparison
+def per_window_draws(fam, n, count, rng):
+    """count level-n words, each one rng.randint(lo, hi) per window in
+    level order: the draw contract of sample_level."""
+    windows = [fam.digit_range(k) for k in range(1, n + 1)]
+    return [tuple(rng.randint(lo, hi) for lo, hi in windows) for _ in range(count)]
 
 
 def test_sample_words_is_seeded_and_in_range(fam42):
-    words_a = fam42.sample_words(3, 20, random.Random(11))
-    words_b = fam42.sample_words(3, 20, random.Random(11))
+    _, words_a, _ = fam42.sample_level(3, 20, random.Random(11))
+    _, words_b, _ = fam42.sample_level(3, 20, random.Random(11))
     assert words_a == words_b
+    assert words_a == per_window_draws(fam42, 3, 20, random.Random(11))
+    assert len(set(words_a)) > 1
     ranges = [fam42.digit_range(k) for k in (1, 2, 3)]
     for word in words_a:
+        assert len(word) == 3
         for digit, (j_min, j_max) in zip(word, ranges):
             assert j_min <= digit <= j_max
 
@@ -309,7 +334,7 @@ def test_max_interval_length_matches_enumeration(test_families):
     for fam in test_families:
         for n in range(1, 5):
             enumerated = max(iv.length for iv in fam.level_intervals(n))
-            assert fam.max_interval_length(n) == enumerated
+            assert fam.level_quantities(n).max_length == enumerated
 
 
 # -- level sets -------------------------------------------------------------------
@@ -383,7 +408,7 @@ def test_level_intervals_equal_the_sorted_brute_force_level():
             longest = max(iv.length for iv in intervals)
             assert intervals[-1].length == longest
             if n >= 1:
-                assert fam.max_interval_length(n) == longest
+                assert fam.level_quantities(n).max_length == longest
 
 
 def test_level_intervals_leave_no_reference_cycle(fam21):
@@ -415,7 +440,7 @@ def test_sample_level_matches_the_per_word_operations(test_families):
     for fam in test_families:
         for n in (1, 3, 6):
             count, words, intervals = fam.sample_level(n, 12, random.Random(n))
-            expected = fam.sample_words(n, 12, random.Random(n))
+            expected = per_window_draws(fam, n, 12, random.Random(n))
             assert words == expected
             assert intervals == [fam.basic_interval(w) for w in expected]
             assert count == fam.word_count(n)
@@ -482,9 +507,8 @@ def test_level_bounds_fail_where_the_level_intervals_do(pairs, n):
     fam = SequenceFamily.from_pairs(pairs)
     errors = [level_error(call) for call in (
         lambda: fam.min_gap(n), lambda: fam.diameter_bound(n),
-        lambda: fam.level_quantities(n), lambda: fam.gap_bound(n),
-        lambda: fam.max_interval_length(n))]
-    assert errors == [errors[0]] * 5
+        lambda: fam.level_quantities(n), lambda: fam.gap_bound(n))]
+    assert errors == [errors[0]] * 4
 
 
 def test_level_quantities_consistency(fam42):
@@ -492,10 +516,10 @@ def test_level_quantities_consistency(fam42):
         quantities = fam42.level_quantities(n)
         assert quantities.n == n
         assert quantities.count == fam42.word_count(n)
-        assert quantities.branch_counts[-1] == fam42.branch_count(n)
+        j_min, j_max = fam42.digit_range(n)
+        assert quantities.branch_counts[-1] == j_max - j_min + 1
         assert quantities.diameter_bound == fam42.diameter_bound(n)
         assert quantities.gap_bound == fam42.gap_bound(n)
-        assert quantities.max_length == fam42.max_interval_length(n)
 
 
 def test_iter_level_quantities_matches_single_level_calls(fam21):
@@ -561,7 +585,7 @@ def test_a_single_level_read_builds_only_its_own_fractions(monkeypatch, fam42):
     assert quantities.diameter_bound > 0
     assert len(built) == 1
     built.clear()
-    fam42.max_interval_length(300)
+    assert quantities.max_length > 0
     assert len(built) == 1
     built.clear()
     empirical_cover_fit(fam42, [2, 40], limit=None)
@@ -589,7 +613,7 @@ def test_random_valid_tables_satisfy_all_structural_properties():
         assert max(iv.length for iv in intervals) <= quantities.diameter_bound
         gap = fam.min_gap(n)
         assert gap is None or gap >= quantities.gap_bound
-        for word in fam.iter_words(n, limit=50):
+        for word in itertools.islice(fam.iter_words(n), 50):
             assert is_admissible(word)
 
 
@@ -632,15 +656,12 @@ def counting_family():
 SINGLE_PASS_OPERATIONS = {
     "levels": lambda f: list(f.levels(6)),
     "digit_range": lambda f: f.digit_range(4),
-    "branch_count": lambda f: f.branch_count(4),
     "word_count": lambda f: f.word_count(4),
     "iter_words": lambda f: list(f.iter_words(3)),
-    "sample_words": lambda f: f.sample_words(4, 5, random.Random(1)),
     "sample_level": lambda f: f.sample_level(4, 5, random.Random(1)),
     "basic_interval": lambda f: f.basic_interval([5, 17, 65]),
     "level_intervals": lambda f: f.level_intervals(3),
     "min_gap": lambda f: f.min_gap(3),
-    "max_interval_length": lambda f: f.max_interval_length(4),
     "diameter_bound": lambda f: f.diameter_bound(4),
     "gap_bound": lambda f: f.gap_bound(4),
     "iter_level_quantities": lambda f: list(f.iter_level_quantities(6)),
@@ -687,7 +708,6 @@ WINDOW_READERS = {
     "digit_range": lambda f: f.digit_range(2),
     "word_count": lambda f: f.word_count(2),
     "iter_words": lambda f: list(f.iter_words(2)),
-    "sample_words": lambda f: f.sample_words(2, 3, random.Random(1)),
     "basic_interval": lambda f: f.basic_interval([5]),
     "sample_level": lambda f: f.sample_level(1, 3, random.Random(1)),
     "level_intervals": lambda f: f.level_intervals(1),

@@ -11,7 +11,6 @@ from engeldim import (
     cylinder_interval,
     cylinder_length,
     engel_digits,
-    engel_map,
     is_admissible,
     reconstruct,
 )
@@ -21,28 +20,21 @@ from engeldim import (
 
 
 def test_engel_map_known_values():
-    # worked by hand: x * ceil(1/x) - 1
-    assert engel_map(F(2, 3)) == F(1, 3)
-    assert engel_map(F(3, 7)) == F(2, 7)
-    assert engel_map(F(5, 17)) == F(3, 17)
-    assert engel_map(F(1, 2)) == 0
-    assert engel_map(0) == 0
-
-
-def test_engel_map_rejects_points_outside_unit_interval():
-    for bad in (F(-1, 2), F(1), F(3, 2), F(-1, 1000)):
-        with pytest.raises(DomainError):
-            engel_map(bad)
+    # worked by hand: T(x) = x * ceil(1/x) - 1 is the remainder after one digit
+    for x, image in ((F(2, 3), F(1, 3)), (F(3, 7), F(2, 7)),
+                     (F(5, 17), F(3, 17)), (F(1, 2), 0)):
+        assert engel_digits(x, 1).remainder == image
 
 
 def test_engel_map_keeps_orbit_inside_unit_interval():
     rng = random.Random(1181)
     for _ in range(200):
         q = rng.randint(2, 10**4)
-        x = F(rng.randint(1, q - 1), q)
-        for _ in range(30):
-            x = engel_map(x)
+        x = start = F(rng.randint(1, q - 1), q)
+        for k in range(1, 31):
+            x = engel_digits(x, 1).remainder
             assert 0 <= x < 1
+            assert x == engel_digits(start, k).remainder
             if x == 0:
                 break
         assert x == 0  # a rational orbit dies within numerator steps
@@ -165,9 +157,9 @@ def test_interval_membership_respects_closure_flags():
 
 
 def test_interval_validation_and_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         RatInterval(F(1, 2), F(1, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         RatInterval(F(1, 2), F(1, 2))  # degenerate must be closed
     point = RatInterval(F(1, 2), F(1, 2), hi_closed=True)
     assert point.length == 0

@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from engeldim import SequenceFamily  # noqa: E402
+from engeldim import DomainError, SequenceFamily  # noqa: E402
 from engeldim.construction import smallest_gap  # noqa: E402
 from engeldim.engel import (  # noqa: E402
     RatInterval,
@@ -133,7 +133,7 @@ def check_interval(lo, hi, lo_closed, hi_closed):
         assert (interval.lo, interval.hi) == (F(lo), F(hi))
         assert type(interval.lo) is F and type(interval.hi) is F
         return
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(DomainError) as excinfo:
         RatInterval(lo, hi, lo_closed, hi_closed)
     assert str(excinfo.value) == message
 

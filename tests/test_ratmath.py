@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import engeldim
-from engeldim import log_rational
+from engeldim import DomainError, log_rational, parse_rational
+from engeldim.ratmath import exact_kth_root
 
 # a few ulp, relative
 REL_BOUND = 4 * 2.0**-53
@@ -47,8 +48,19 @@ def test_log_rational_known_values():
 
 def test_log_rational_rejects_nonpositive_values():
     for bad in (0, -3, F(-1, 2), F(0)):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             log_rational(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse_rational("x"),
+    lambda: parse_rational("1/0"),
+    lambda: exact_kth_root(-1, 2),
+    lambda: exact_kth_root(8, 0),
+], ids=["parse-text", "parse-zero-denominator", "root-negative", "root-order-zero"])
+def test_ratmath_rejects_bad_input_with_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_import_leaves_mpmath_unloaded():

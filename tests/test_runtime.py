@@ -33,3 +33,35 @@ def test_project_declares_no_runtime_dependency():
     with open(ROOT / "pyproject.toml", "rb") as f:
         project = tomllib.load(f)["project"]
     assert project["dependencies"] == []
+
+
+def module_private_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and assigned names at module level whose
+    name has one leading underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # a private helper is reached only from inside the package, so one that
+    # nothing there reads is dead, e.g. one stranded by a deletion
+    defined, used = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined.update(dict.fromkeys(module_private_names(tree), path.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert "_balanced_prod" in defined  # the scan sees the helpers
+    assert {name: module for name, module in defined.items()
+            if name not in used} == {}
