@@ -43,10 +43,10 @@ from .construction import (
     DEFAULT_LEVEL_LIMIT,
     LevelQuantities,
     SequenceFamily,
-    smallest_gap,
+    _smallest_gap,
 )
 from .dimension import DEFAULT_FIT_LIMIT, empirical_cover_fit, estimate_dimension
-from .engel import DigitWord, RatInterval, cylinder_interval, engel_digits
+from .engel import DigitWord, _interval_str, cylinder_interval, engel_digits
 from .errors import (
     ConditionError,
     DomainError,
@@ -55,7 +55,7 @@ from .errors import (
     SizeLimitError,
     UsageError,
 )
-from .ratmath import parse_rational
+from .ratmath import _fraction_str, parse_rational
 
 _OUTPUTS = ("text", "csv", "json")
 
@@ -428,8 +428,13 @@ def _csv_of(rows: Iterable[dict]) -> Iterator[list[str]]:
         ]
 
 
-def _endpoints(intervals: Sequence[RatInterval]) -> _Stream:
-    return _Stream({"lo": str(iv.lo), "hi": str(iv.hi)} for iv in intervals)
+def _endpoints(texts: Iterable[tuple[str, str]]) -> _Stream:
+    return _Stream({"lo": lo, "hi": hi} for lo, hi in texts)
+
+
+def _length_str(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> str:
+    # hi - lo of unreduced endpoints: one subtraction and one gcd
+    return _fraction_str(hi_num * lo_den - lo_num * hi_den, lo_den * hi_den)
 
 
 def _report(cfg: argparse.Namespace, text, csv, json, code: int = 0) -> Report:
@@ -570,29 +575,34 @@ def _run_level(cfg: argparse.Namespace) -> Report:
                 "sample": cfg.sample,
                 "seed": cfg.seed,
                 "words": [list(w) for w in words],
-                "intervals": _endpoints(intervals),
+                "intervals": _endpoints((str(iv.lo), str(iv.hi)) for iv in intervals),
             },
         )
 
-    intervals = cfg.family.level_intervals(n, cfg.limit)
-    gap = smallest_gap(intervals)
+    # the level as unreduced endpoint ints: each is reduced once, as it is
+    # printed, and no Fraction or RatInterval is built for it
+    ends = list(cfg.family._level_endpoints(n, cfg.limit))
+    gap = _smallest_gap(ends)
     # the all-minimal word comes last; with the smallest digit product its
     # interval is the longest
-    max_length = intervals[-1].length
+    max_length = _length_str(*ends[-1])
 
     def text() -> Iterator[str]:
         yield f"level: {n}"
-        yield f"count: {len(intervals)}"
+        yield f"count: {len(ends)}"
         yield f"min gap: {'none' if gap is None else gap}"
         yield f"max length: {max_length}"
         yield "intervals:"
-        for iv in intervals:
-            yield f"  {iv}"
+        for lo_num, lo_den, hi_num, hi_den in ends:
+            lo, hi = _fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den)
+            yield f"  {_interval_str(lo, hi)}"
 
     def csv() -> Iterator[list[str]]:
         yield ["index", "lo", "hi", "length"]
-        for idx, iv in enumerate(intervals, start=1):
-            yield [str(idx), str(iv.lo), str(iv.hi), str(iv.length)]
+        for idx, (lo_num, lo_den, hi_num, hi_den) in enumerate(ends, start=1):
+            yield [str(idx), _fraction_str(lo_num, lo_den),
+                   _fraction_str(hi_num, hi_den),
+                   _length_str(lo_num, lo_den, hi_num, hi_den)]
 
     return _report(
         cfg,
@@ -600,10 +610,13 @@ def _run_level(cfg: argparse.Namespace) -> Report:
         csv=csv,
         json=lambda: {
             "n": n,
-            "count": len(intervals),
+            "count": len(ends),
             "min_gap": None if gap is None else str(gap),
-            "max_length": str(max_length),
-            "intervals": _endpoints(intervals),
+            "max_length": max_length,
+            "intervals": _endpoints(
+                (_fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den))
+                for lo_num, lo_den, hi_num, hi_den in ends
+            ),
         },
     )
 

@@ -24,7 +24,13 @@ from fractions import Fraction
 from math import floor
 from typing import Callable, Iterable, Iterator
 
-from .engel import DigitWord, RatInterval, _prefix_interval, _prefix_state
+from .engel import (
+    DigitWord,
+    RatInterval,
+    _prefix_endpoints,
+    _prefix_interval,
+    _prefix_state,
+)
 from .errors import (
     ConditionError,
     DomainError,
@@ -33,7 +39,7 @@ from .errors import (
     InvalidWordError,
     SizeLimitError,
 )
-from .ratmath import exact_kth_root
+from .ratmath import _NOT_RATIONAL, _to_rational, exact_kth_root
 
 # hard cap on materialized words per level; counts grow like the product
 # of the t_k, so a runaway request must fail loudly instead of thrashing
@@ -378,18 +384,31 @@ class SequenceFamily:
         Level 0 is the convention [0, 1].  Raises a size-limit error, with
         the exact count attached, before anything is built when the level
         exceeds the limit.
-
-        The level grows one digit position at a time over prefix states
-        (a, p): a/p is a word's reconstruction, p its digit product, and
-        appending digit d gives (a*d + 1, p*d).  A larger digit puts a
-        child further left inside its parent's cylinder, and cylinders of
-        distinct parents are disjoint, so taking every window's digits in
-        descending order keeps each level sorted by left endpoint.
         """
+        return [
+            RatInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den), True, True)
+            for lo_num, lo_den, hi_num, hi_den in self._level_endpoints(n, limit)
+        ]
+
+    def _level_endpoints(self, n: int, limit: int | None
+                         ) -> Iterator[tuple[int, int, int, int]]:
+        # the level builder: each basic interval of level n as the unreduced
+        # ints (lo_num, lo_den, hi_num, hi_den) of _prefix_endpoints, sorted
+        # by left endpoint, after the size limit is checked.  Reducing them
+        # here would cost level_intervals each gcd twice, as Fraction takes
+        # its own.
+        #
+        # The level grows one digit position at a time over prefix states
+        # (a, p): a/p is a word's reconstruction, p its digit product, and
+        # appending digit d gives (a*d + 1, p*d).  A larger digit puts a
+        # child further left inside its parent's cylinder, and cylinders of
+        # distinct parents are disjoint, so taking every window's digits in
+        # descending order keeps each level sorted by left endpoint.
         if n < 0:
             raise DomainError(f"level must be >= 0, got {n}")
         if n == 0:
-            return [RatInterval(Fraction(0), Fraction(1), True, True)]
+            yield 0, 1, 1, 1
+            return
         *windows, (j_min, j_max) = self._windows(n + 1)
         total = _balanced_prod(hi - lo + 1 for lo, hi in windows)
         if limit is not None and total > limit:
@@ -399,13 +418,12 @@ class SequenceFamily:
         for w_lo, w_hi in head:
             digits = range(w_hi, w_lo - 1, -1)
             states = [(a * d + 1, p * d) for a, p in states for d in digits]
-        # the last digit position is expanded where the intervals are built,
+        # the last digit position is expanded as the endpoints are yielded,
         # so no count-sized list of level-n states is held
-        return [
-            _prefix_interval(a * d + 1, p * d, j_min, j_max)
-            for a, p in states
-            for d in range(hi, lo - 1, -1)
-        ]
+        last = range(hi, lo - 1, -1)
+        for a, p in states:
+            for d in last:
+                yield _prefix_endpoints(a * d + 1, p * d, j_min, j_max)
 
     def min_gap(self, n: int,
                 limit: int | None = DEFAULT_LEVEL_LIMIT) -> Fraction | None:
@@ -413,7 +431,7 @@ class SequenceFamily:
 
         None when the level has fewer than two intervals.
         """
-        return smallest_gap(self.level_intervals(n, limit))
+        return _smallest_gap(self._level_endpoints(n, limit))
 
     # -- a priori bounds ---------------------------------------------------
 
@@ -463,14 +481,21 @@ class SequenceFamily:
 def smallest_gap(intervals: Iterable[RatInterval]) -> Fraction | None:
     """Smallest distance between consecutive intervals of a list sorted by
     left endpoint; None when it holds fewer than two."""
-    # each gap right.lo - left.hi stays an unreduced pair (num, den) with
-    # den > 0, pairs compare by cross-multiplication, and only the smallest
-    # is reduced to a Fraction
+    return _smallest_gap(
+        (iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)
+        for iv in intervals
+    )
+
+
+def _smallest_gap(endpoints: Iterable[tuple[int, int, int, int]]) -> Fraction | None:
+    # the gap scan over (lo_num, lo_den, hi_num, hi_den), denominators
+    # positive: each gap right.lo - left.hi stays an unreduced pair
+    # (num, den) with den > 0, pairs compare by cross-multiplication, and
+    # only the smallest is reduced to a Fraction
     best_num, best_den = None, 1
-    for left, right in itertools.pairwise(intervals):
-        lo, hi = right.lo, left.hi
-        num = lo.numerator * hi.denominator - hi.numerator * lo.denominator
-        den = lo.denominator * hi.denominator
+    for (_, _, hi_num, hi_den), (lo_num, lo_den, _, _) in itertools.pairwise(endpoints):
+        num = lo_num * hi_den - hi_num * lo_den
+        den = lo_den * hi_den
         if best_num is None or num * best_den < best_num * den:
             best_num, best_den = num, den
     return None if best_num is None else Fraction(best_num, best_den)
@@ -498,17 +523,6 @@ def _geometric_terms(coef: Fraction, ratio: Fraction) -> Iterator[int | Fraction
     while True:
         term *= ratio
         yield term
-
-
-# what Fraction() raises for a value that is not a rational
-_NOT_RATIONAL = (TypeError, ValueError, ZeroDivisionError, OverflowError)
-
-
-def _to_rational(value, label: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except _NOT_RATIONAL as exc:
-        raise DomainError(f"{label} is not a rational: {value!r}") from exc
 
 
 def _validated_pairs(pairs: Iterable) -> tuple[tuple[Fraction, Fraction], ...]:

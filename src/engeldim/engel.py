@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, InternalError, InvalidWordError
+from .ratmath import _fraction_str, _to_rational
 
 
 def is_admissible(digits: Iterable[int]) -> bool:
@@ -64,10 +65,10 @@ class RatInterval:
         # large share of the time taken to build a level of intervals
         lo, hi = self.lo, self.hi
         if type(lo) is not Fraction:
-            lo = Fraction(lo)
+            lo = _to_rational(lo, "interval endpoint")
             object.__setattr__(self, "lo", lo)
         if type(hi) is not Fraction:
-            hi = Fraction(hi)
+            hi = _to_rational(hi, "interval endpoint")
             object.__setattr__(self, "hi", hi)
         # the sign of hi - lo from one integer cross-product, exact because
         # Fraction denominators are positive; Fraction's own comparisons
@@ -83,7 +84,7 @@ class RatInterval:
         return self.hi - self.lo
 
     def contains(self, x) -> bool:
-        x = Fraction(x)
+        x = _to_rational(x, "point")
         if x < self.lo or x > self.hi:
             return False
         if x == self.lo and not self.lo_closed:
@@ -105,9 +106,16 @@ class RatInterval:
         return True
 
     def __str__(self) -> str:
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{self.lo}, {self.hi}{right}"
+        # reduced endpoints print as they are: a gcd of a deep word's
+        # endpoint costs about half as much again as its str
+        return _interval_str(str(self.lo), str(self.hi), self.lo_closed, self.hi_closed)
+
+
+def _interval_str(lo: str, hi: str, lo_closed: bool = True, hi_closed: bool = True) -> str:
+    # the one text format of an interval, from its endpoints' texts
+    left = "[" if lo_closed else "("
+    right = "]" if hi_closed else ")"
+    return f"{left}{lo}, {hi}{right}"
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,7 @@ def engel_digits(x, max_depth: int | None = None) -> ExpansionResult:
     which happens within denominator-many steps for any rational.  The
     digit at step k is ceil(1/T^(k-1)(x)).
     """
-    x = Fraction(x)
+    x = _to_rational(x, "x")
     if not 0 < x < 1:
         raise DomainError(f"engel_digits needs 0 < x < 1, got {x}")
     if max_depth is not None and max_depth < 1:
@@ -166,13 +174,28 @@ def _prefix_state(digits: Iterable[int]) -> tuple[int, int]:
     return a, p
 
 
+def _prefix_endpoints(a: int, p: int, j_min: int, j_max: int
+                      ) -> tuple[int, int, int, int]:
+    # the points continuing prefix state (a, p) with a digit in j_min..j_max
+    # lie from a/p + 1/(p*j_max) to a/p + 1/(p*(j_min - 1)).  The endpoints
+    # come as unreduced (lo_num, lo_den, hi_num, hi_den), denominators
+    # positive, and are checked in order as RatInterval checks them: by the
+    # cross-product hi_num*lo_den - lo_num*hi_den, divided by the common
+    # factor p > 0, so no product of two long ints is taken
+    lo_num, lo_den = a * j_max + 1, p * j_max
+    hi_num, hi_den = a * (j_min - 1) + 1, p * (j_min - 1)
+    if hi_num * j_max < lo_num * (j_min - 1):
+        lo, hi = _fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den)
+        raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
+    return lo_num, lo_den, hi_num, hi_den
+
+
 def _prefix_interval(a: int, p: int, j_min: int, j_max: int,
                      hi_closed: bool = True) -> RatInterval:
-    # the points continuing prefix state (a, p) with a digit in j_min..j_max
-    # lie from a/p + 1/(p*j_max) to a/p + 1/(p*(j_min - 1)), each one fraction
-    return RatInterval(Fraction(a * j_max + 1, p * j_max),
-                       Fraction(a * (j_min - 1) + 1, p * (j_min - 1)),
-                       lo_closed=True, hi_closed=hi_closed)
+    # _prefix_endpoints as a RatInterval, closed on the left
+    lo_num, lo_den, hi_num, hi_den = _prefix_endpoints(a, p, j_min, j_max)
+    return RatInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den),
+                       True, hi_closed)
 
 
 def reconstruct(word) -> Fraction:

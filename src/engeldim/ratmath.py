@@ -18,6 +18,26 @@ _FLOAT_EXP_LIMIT = 1000
 _QUOTIENT_BITS = 64
 
 
+# what Fraction() raises for a value that is not a rational
+_NOT_RATIONAL = (TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _to_rational(value, label: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except _NOT_RATIONAL as exc:
+        raise DomainError(f"{label} is not a rational: {value!r}") from exc
+
+
+def _fraction_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction:
+    one gcd, then "p/q", or "p" when q is 1."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", integer, or decimal text into an exact rational."""
     try:
@@ -40,8 +60,11 @@ def log_rational(value) -> float:
     if type(value) is int and value > 0:
         # the den == 1 path below, without reading two attributes
         return math.log(value)
-    num = value.numerator
-    den = value.denominator
+    try:
+        num = value.numerator
+        den = value.denominator
+    except AttributeError as exc:
+        raise DomainError(f"log_rational needs a rational, got {value!r}") from exc
     if num <= 0:
         raise DomainError(f"log of non-positive value {value}")
     if den == 1:

@@ -596,6 +596,25 @@ def _streamed_dim_peak(output):
     return code, sink.bytes, peak
 
 
+@pytest.mark.parametrize("output", ["text", "csv", "json"])
+def test_level_renders_from_endpoint_ints(output):
+    # 8192 intervals: holding their endpoint ints and reducing each only as
+    # it is printed peaks near 2.6 MB; a Fraction pair and a RatInterval
+    # per interval would hold about 1 MB more
+    cfg = parse_config(["level", "--family", "geometric", "--s", "2", "--t", "1",
+                        "--t-coef", "2", "--depth", "13", "--output", output])
+    sink = _ByteCounter()
+    tracemalloc.start()
+    try:
+        code = run(cfg, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.bytes > 10**6
+    assert peak < 3_300_000
+
+
 def test_dim_csv_renders_each_level_as_the_walk_yields_it():
     # each row is written and dropped as the walk yields its level, for a
     # peak of about 0.4 MiB; the whole output held at once is 9.8 MB

@@ -161,6 +161,12 @@ def test_interval_validation_and_length():
         RatInterval(F(1, 2), F(1, 3))
     with pytest.raises(DomainError):
         RatInterval(F(1, 2), F(1, 2))  # degenerate must be closed
+    with pytest.raises(DomainError, match="interval endpoint is not a rational"):
+        RatInterval("abc", 1)
+    with pytest.raises(DomainError, match="interval endpoint is not a rational"):
+        RatInterval(0, float("inf"))
+    with pytest.raises(DomainError, match="point is not a rational"):
+        RatInterval(0, 1).contains(None)
     point = RatInterval(F(1, 2), F(1, 2), hi_closed=True)
     assert point.length == 0
     assert RatInterval(F(1, 4), F(1, 3)).length == F(1, 12)

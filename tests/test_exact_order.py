@@ -16,10 +16,12 @@ from engeldim import DomainError, SequenceFamily  # noqa: E402
 from engeldim.construction import smallest_gap  # noqa: E402
 from engeldim.engel import (  # noqa: E402
     RatInterval,
+    _prefix_endpoints,
     cylinder_interval,
     cylinder_length,
     reconstruct,
 )
+from engeldim.ratmath import _fraction_str  # noqa: E402
 
 # fixed examples, no example database: the suite stays deterministic
 SEEDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -101,10 +103,27 @@ def test_smallest_gap_reads_an_iterator_once():
     (SequenceFamily.geometric(F(10, 3), F(7, 3), 3, 2), 3),
     (SequenceFamily.from_pairs([(7, 3), (12, 4), (20, 2), (25, 2), (31, 3),
                                 (40, 2), (47, 2)]), 6),
+    (SequenceFamily.geometric(2, 1, t_coef=2), 0),
 ])
 def test_smallest_gap_of_a_level_is_the_fraction_minimum(family, depth):
-    # endpoints with large, nearly equal cross-products
-    check_smallest_gap(family.level_intervals(depth))
+    # endpoints with large, nearly equal cross-products; min_gap scans the
+    # level's unreduced endpoint ints, smallest_gap its intervals
+    intervals = family.level_intervals(depth)
+    check_smallest_gap(intervals)
+    assert family.min_gap(depth) == smallest_gap(intervals)
+    if depth == 0:
+        assert family.min_gap(depth) is None
+
+
+@SEEDED
+@given(st.integers(min_value=-10**30, max_value=10**30),
+       st.integers(min_value=1, max_value=10**30),
+       st.integers(min_value=1, max_value=10**6))
+def test_fraction_str_is_str_of_the_fraction(num, den, factor):
+    # unreduced pairs: a common factor, and den == factor makes q == 1
+    for p, q in ((num, den), (num * factor, den * factor),
+                 (num * factor, factor), (0, den)):
+        assert _fraction_str(p, q) == str(F(p, q))
 
 
 @SEEDED
@@ -156,3 +175,19 @@ def test_prefix_recurrence_matches_the_series(word):
     interval = cylinder_interval(word)
     assert interval == RatInterval(series, parent + F(1, before_last * (word[-1] - 1)))
     assert cylinder_length(word) == interval.length == F(1, products[-1] * (word[-1] - 1))
+
+
+@SEEDED
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=60),
+       st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=40))
+def test_prefix_endpoints_check_their_order_as_an_interval_does(a, p, j_min, j_max):
+    # j_max < j_min - 1 is an empty window, whose endpoints come out of order
+    lo = F(a * j_max + 1, p * j_max)
+    hi = F(a * (j_min - 1) + 1, p * (j_min - 1))
+    if lo > hi:
+        with pytest.raises(DomainError) as excinfo:
+            _prefix_endpoints(a, p, j_min, j_max)
+        assert str(excinfo.value) == f"interval endpoints out of order: {lo} > {hi}"
+    else:
+        lo_num, lo_den, hi_num, hi_den = _prefix_endpoints(a, p, j_min, j_max)
+        assert (F(lo_num, lo_den), F(hi_num, hi_den)) == (lo, hi)

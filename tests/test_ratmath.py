@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import engeldim
-from engeldim import DomainError, log_rational, parse_rational
+from engeldim import DomainError, engel_digits, log_rational, parse_rational
 from engeldim.ratmath import exact_kth_root
 
 # a few ulp, relative
@@ -57,7 +57,11 @@ def test_log_rational_rejects_nonpositive_values():
     lambda: parse_rational("1/0"),
     lambda: exact_kth_root(-1, 2),
     lambda: exact_kth_root(8, 0),
-], ids=["parse-text", "parse-zero-denominator", "root-negative", "root-order-zero"])
+    lambda: log_rational(0.5),
+    lambda: engel_digits("abc"),
+    lambda: engel_digits(None),
+], ids=["parse-text", "parse-zero-denominator", "root-negative", "root-order-zero",
+        "log-float", "digits-text", "digits-none"])
 def test_ratmath_rejects_bad_input_with_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
