@@ -15,7 +15,9 @@ The exact N_n, delta_n and epsilon_n columns of quantities and dim reach
 tens of thousands of digits, and CPython 3.11 converts an int to decimal in
 quadratic time; each of their cells is rendered from the exact Decimal of
 the cell above it instead, in time linear in its length; one long
-division per cell, as a rule, finds the ratio of the two.
+division per cell, as a rule, finds the ratio of the two.  delta_n and
+epsilon_n are rendered from the reduced integer pairs of the level's
+bounds, so no Fraction is built per cell.
 
 A command is one row of _COMMANDS, which names its flags and its runner.
 The runner returns a Report, one row source per format, and one writer per
@@ -333,14 +335,15 @@ def _decimal_column() -> Callable[[int], str]:
     return render
 
 
-def _fraction_column() -> Callable[[Fraction], str]:
-    """Like _decimal_column for Fractions, rendered as str(Fraction) does,
-    with one chain for the numerators and one for the denominators."""
+def _fraction_column() -> Callable[[int, int], str]:
+    """Like _decimal_column for reduced pairs (num, den), den > 0, each
+    rendered as str(Fraction(num, den)) does, with one chain for the
+    numerators and one for the denominators."""
     numerators, denominators = _decimal_column(), _decimal_column()
 
-    def render(q: Fraction) -> str:
-        p = numerators(q.numerator)
-        return p if q.denominator == 1 else f"{p}/{denominators(q.denominator)}"
+    def render(num: int, den: int) -> str:
+        p = numerators(num)
+        return p if den == 1 else f"{p}/{denominators(den)}"
 
     return render
 
@@ -353,7 +356,8 @@ def _exact_rows(
     count, delta, gap = _decimal_column(), _fraction_column(), _fraction_column()
     for lq in family.iter_level_quantities(depth):
         yield {"n": lq.n, **columns(lq), "N_n": count(lq.count),
-               "delta_n": delta(lq.diameter_bound), "epsilon_n": gap(lq.gap_bound)}
+               "delta_n": delta(*lq._diameter_pair()),
+               "epsilon_n": gap(*lq._gap_pair())}
 
 
 # -- reports and their writers ---------------------------------------------

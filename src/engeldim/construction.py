@@ -11,7 +11,8 @@ of unions of closed intervals whose intersection is the target set.
 Everything here is exact: windows come from rational floors, endpoints and
 the two a priori bounds (the diameter bound delta_n that dominates every
 basic-interval length, and the gap bound epsilon_n that every gap between
-intervals of the same level dominates) are plain Fractions.
+intervals of the same level dominates) are plain Fractions, each formed
+from its reduced integer pair.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 from typing import Callable, Iterable, Iterator
 
 from .engel import (
@@ -79,7 +80,7 @@ class ConditionReport:
 class LevelQuantities:
     """Exact bookkeeping for one level: count, branching, and what both
     bounds and the longest length are built from when read, so a reader of
-    one level pays for that level's Fractions only."""
+    one level pays for that level's values only."""
 
     n: int
     count: int
@@ -92,17 +93,39 @@ class LevelQuantities:
     @property
     def diameter_bound(self) -> Fraction:
         """delta_n = 4*t_{n+1}/(s_1...s_n * s_{n+1}**2)."""
-        s_next, t_next, _, _ = self.next_level
-        # the small factors are multiplied first, so the bound costs one
-        # big multiply and one reduction.  prod_s is an int while the terms
-        # are, and the numerator is small, so the reduction takes gcds of
-        # big values with small ones only, never of two big values
-        return Fraction(4 * t_next, self.prod_s * (s_next * s_next))
+        return Fraction(*self._diameter_pair())
 
     @property
     def gap_bound(self) -> Fraction:
         """epsilon_n = 1/(2**(n+3) * s_1...s_n * s_n)."""
-        return Fraction(1, self.prod_s * (self.s_n * 2 ** (self.n + 3)))
+        return Fraction(*self._gap_pair())
+
+    def _diameter_pair(self) -> tuple[int, int]:
+        # delta_n as its reduced (num, den), den > 0.  With integral terms,
+        # u = 4*t_{n+1} is small and P = s_1...s_n long, and
+        # gcd(u, P*s**2) = g1*g2 with g1 = gcd(u, s**2), g2 = gcd(u/g1, P):
+        # no gcd of two long ints, and no long division when g2 = 1
+        s, t, _, _ = self.next_level
+        prod_s = self.prod_s
+        if s.denominator == t.denominator == prod_s.denominator == 1:
+            s, u, prod_s = s.numerator, 4 * t.numerator, prod_s.numerator
+            s2 = s * s
+            g1 = gcd(u, s2)
+            u, s2 = u // g1, s2 // g1
+            g2 = gcd(u, prod_s)
+            if g2 != 1:
+                u, prod_s = u // g2, prod_s // g2
+            return u, prod_s * s2
+        bound = Fraction(4 * t, prod_s * (s * s))
+        return bound.numerator, bound.denominator
+
+    def _gap_pair(self) -> tuple[int, int]:
+        # epsilon_n as its reduced (num, den), den > 0: the numerator is 1
+        s_n, prod_s = self.s_n, self.prod_s
+        if s_n.denominator == prod_s.denominator == 1:
+            return 1, prod_s.numerator * (s_n.numerator << (self.n + 3))
+        bound = Fraction(1, prod_s * (s_n * 2 ** (self.n + 3)))
+        return bound.numerator, bound.denominator
 
     @property
     def max_length(self) -> Fraction:

@@ -179,12 +179,13 @@ def _prefix_endpoints(a: int, p: int, j_min: int, j_max: int
     # the points continuing prefix state (a, p) with a digit in j_min..j_max
     # lie from a/p + 1/(p*j_max) to a/p + 1/(p*(j_min - 1)).  The endpoints
     # come as unreduced (lo_num, lo_den, hi_num, hi_den), denominators
-    # positive, and are checked in order as RatInterval checks them: by the
+    # positive, and are checked in order as RatInterval checks them: the
     # cross-product hi_num*lo_den - lo_num*hi_den, divided by the common
-    # factor p > 0, so no product of two long ints is taken
+    # factor p > 0, is j_max - (j_min - 1) for every state, so the check
+    # compares the window ends and takes no long multiply
     lo_num, lo_den = a * j_max + 1, p * j_max
     hi_num, hi_den = a * (j_min - 1) + 1, p * (j_min - 1)
-    if hi_num * j_max < lo_num * (j_min - 1):
+    if j_max < j_min - 1:
         lo, hi = _fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den)
         raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
     return lo_num, lo_den, hi_num, hi_den

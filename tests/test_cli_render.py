@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from engeldim import SequenceFamily, cli
+from engeldim import SequenceFamily, cli, construction
 
 BIG = 3**130_000  # 206,046 bits
 
@@ -44,7 +44,9 @@ def test_decimal_column_matches_str(name):
 
 def test_fraction_column_matches_str():
     render = cli._fraction_column()
-    assert [render(q) for q in FRACTION_COLUMN] == [str(q) for q in FRACTION_COLUMN]
+    assert [render(q.numerator, q.denominator) for q in FRACTION_COLUMN] == [
+        str(q) for q in FRACTION_COLUMN
+    ]
 
 
 def test_columns_are_independent():
@@ -69,7 +71,7 @@ def test_rendering_leaves_the_thread_context_alone():
     before = (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags))
     render = cli._fraction_column()
     for q in FRACTION_COLUMN:
-        render(q)
+        render(q.numerator, q.denominator)
     assert decimal.getcontext() is ctx
     assert (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
 
@@ -106,3 +108,19 @@ def test_integer_families_convert_only_their_first_level(monkeypatch):
         first.gap_bound.numerator,
         first.gap_bound.denominator,
     ])
+
+
+def test_exact_rows_build_no_fraction(monkeypatch):
+    # the bounds are rendered from their reduced integer pairs
+    fam = SequenceFamily.geometric(4, 2)
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(construction, "Fraction", counting_fraction)
+    monkeypatch.setattr(cli, "Fraction", counting_fraction)
+    rows = list(cli._exact_rows(fam, 60, lambda lq: {}))
+    assert [row["n"] for row in rows] == list(range(1, 61))
+    assert built == []

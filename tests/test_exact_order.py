@@ -1,8 +1,10 @@
 """The integer comparisons of interval endpoints against plain Fraction
-arithmetic: smallest_gap, the RatInterval order checks, and the prefix
-recurrence behind reconstruct and the cylinders."""
+arithmetic: smallest_gap, the RatInterval order checks, the prefix
+recurrence behind reconstruct and the cylinders, and the reduced integer
+pairs of the level bounds."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -191,3 +193,83 @@ def test_prefix_endpoints_check_their_order_as_an_interval_does(a, p, j_min, j_m
     else:
         lo_num, lo_den, hi_num, hi_den = _prefix_endpoints(a, p, j_min, j_max)
         assert (F(lo_num, lo_den), F(hi_num, hi_den)) == (lo, hi)
+
+
+# -- the reduced pairs of the level bounds --------------------------------------
+
+
+@st.composite
+def integral_tables(draw):
+    """Valid integral (s, t) tables of 2 to 7 entries, with small terms so
+    that delta_n often reduces by a factor of s_1...s_n."""
+    t = draw(st.integers(min_value=2, max_value=12))
+    s = draw(st.integers(min_value=t, max_value=t + 12))
+    pairs = [(s, t)]
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        s = s + t + draw(st.integers(min_value=0, max_value=12))
+        t = draw(st.integers(min_value=2, max_value=s))
+        pairs.append((s, t))
+    return SequenceFamily.from_pairs(pairs), len(pairs) - 1
+
+
+@st.composite
+def rational_geometric(draw):
+    """Valid geometric families with rational ratios and coefficients:
+    t_ratio >= 1 and t_coef >= 2 keep t_n >= 2, s_coef >= t_coef and
+    s_ratio >= max(2, t_ratio) give s_n >= t_n and growth."""
+    ratios = st.fractions(min_value=1, max_value=5, max_denominator=6)
+    t_ratio = draw(ratios)
+    s_ratio = max(F(2), t_ratio) + draw(ratios) - 1
+    t_coef = draw(st.fractions(min_value=2, max_value=6, max_denominator=6))
+    s_coef = t_coef + draw(st.fractions(min_value=0, max_value=6, max_denominator=6))
+    return SequenceFamily.geometric(s_ratio, t_ratio, s_coef, t_coef), 6
+
+
+def check_bound_pairs(fam, depth):
+    # each pair reduced, den > 0, against the paper's formulas in Fractions
+    s, t = fam.s, fam.t
+    prod_s = F(1)
+    for lq in fam.iter_level_quantities(depth):
+        n = lq.n
+        prod_s *= s(n)
+        delta = 4 * t(n + 1) / (prod_s * s(n + 1) ** 2)
+        epsilon = 1 / (2 ** (n + 3) * prod_s * s(n))
+        for (num, den), bound in ((lq._diameter_pair(), delta), (lq._gap_pair(), epsilon)):
+            assert den > 0
+            assert math.gcd(num, den) == 1
+            assert (num, den) == (bound.numerator, bound.denominator)
+        assert (lq.diameter_bound, lq.gap_bound) == (delta, epsilon)
+
+
+@SEEDED
+@given(integral_tables())
+def test_bound_pairs_of_integral_tables_are_the_reduced_fractions(table):
+    check_bound_pairs(*table)
+
+
+@SEEDED
+@given(rational_geometric())
+def test_bound_pairs_of_rational_geometric_families_are_the_reduced_fractions(family):
+    check_bound_pairs(*family)
+
+
+@pytest.mark.parametrize("fam, branch, delta, epsilon", [
+    # u = 4*t_2 = 16 divides s_2**2 = 256
+    (SequenceFamily.geometric(4, 2), "g1 = u", (1, 64), (1, 256)),
+    # u = 12 is prime to s_2**2 = 25, and shares 3 with s_1 = 3
+    (SequenceFamily.from_pairs([(3, 2), (5, 3)]), "g2 > 1", (4, 25), (1, 144)),
+    # s_1 = 9/2 takes the Fraction quotient
+    (SequenceFamily.from_pairs([(F(9, 2), F(5, 2)), (8, 3)]), "fraction",
+     (1, 24), (1, 324)),
+], ids=["g1-is-u", "g2-above-1", "fraction-fallback"])
+def test_each_branch_of_the_bound_pairs(fam, branch, delta, epsilon):
+    lq = fam.level_quantities(1)
+    s, t, _, _ = lq.next_level
+    if branch == "fraction":
+        assert lq.prod_s.denominator != 1
+    else:
+        u, s2, prod_s = int(4 * t), int(s * s), int(lq.prod_s)
+        g1 = math.gcd(u, s2)
+        assert (g1 == u) if branch == "g1 = u" else math.gcd(u // g1, prod_s) > 1
+    check_bound_pairs(fam, 1)
+    assert (lq._diameter_pair(), lq._gap_pair()) == (delta, epsilon)
