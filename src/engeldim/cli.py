@@ -632,7 +632,7 @@ def _run_quantities(cfg: argparse.Namespace) -> Report:
         pass
 
     levels = functools.partial(_exact_rows, cfg.family, cfg.depth,
-                               lambda lq: {"m_n": lq.branch_counts[-1]})
+                               lambda lq: {"m_n": lq.m_n})
 
     def text() -> Iterator[str]:
         # each column is right-justified to its widest cell, which is known

@@ -78,13 +78,13 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class LevelQuantities:
-    """Exact bookkeeping for one level: count, branching, and what both
-    bounds and the longest length are built from when read, so a reader of
-    one level pays for that level's values only."""
+    """Exact bookkeeping for one level: the count N_n, the branch count m_n
+    of level n, and what both bounds and the longest length are built from
+    when read, so a reader of one level pays for that level's values only."""
 
     n: int
     count: int
-    branch_counts: tuple[int, ...]
+    m_n: int  # the branch count of level n
     prod_s: int | Fraction  # s_1...s_n
     window_starts: tuple[int, ...]  # the window starts j_min of levels 1..n
     s_n: int | Fraction
@@ -458,14 +458,6 @@ class SequenceFamily:
 
     # -- a priori bounds ---------------------------------------------------
 
-    def diameter_bound(self, n: int) -> Fraction:
-        """Exact bound delta_n dominating every level-n interval length."""
-        return self.level_quantities(n).diameter_bound
-
-    def gap_bound(self, n: int) -> Fraction:
-        """Exact bound epsilon_n below every gap at level n."""
-        return self.level_quantities(n).gap_bound
-
     def iter_level_quantities(self, depth: int) -> Iterator[LevelQuantities]:
         """Yield the quantities of levels 1..depth in one incremental sweep.
 
@@ -479,7 +471,6 @@ class SequenceFamily:
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
         prod_s = count = 1
-        branches: list[int] = []
         starts: list[int] = []
         # level n's intervals are built from window n + 1, so walk to it
         walk = itertools.pairwise(self.levels(depth + 1))
@@ -487,10 +478,9 @@ class SequenceFamily:
             prod_s *= s_n
             starts.append(lo)
             m = hi - lo + 1
-            branches.append(m)
             count *= m
-            yield LevelQuantities(n, count, tuple(branches), prod_s,
-                                  tuple(starts), s_n, next_level)
+            yield LevelQuantities(n, count, m, prod_s, tuple(starts), s_n,
+                                  next_level)
 
     def level_quantities(self, n: int) -> LevelQuantities:
         """The quantities of one level: the last of iter_level_quantities(n)."""
@@ -499,15 +489,6 @@ class SequenceFamily:
         for last in self.iter_level_quantities(n):
             pass
         return last
-
-
-def smallest_gap(intervals: Iterable[RatInterval]) -> Fraction | None:
-    """Smallest distance between consecutive intervals of a list sorted by
-    left endpoint; None when it holds fewer than two."""
-    return _smallest_gap(
-        (iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)
-        for iv in intervals
-    )
 
 
 def _smallest_gap(endpoints: Iterable[tuple[int, int, int, int]]) -> Fraction | None:

@@ -131,8 +131,9 @@ def test_criterion_3_construction_geometry():
             if gap is not None and gap < quantities.gap_bound:
                 violations.append(f"{label} n={n}: gap bound")
             product = 1
-            for m in quantities.branch_counts:
-                product *= m
+            for k in range(1, n + 1):
+                lo, hi = fam.digit_range(k)
+                product *= hi - lo + 1
             if quantities.count != product or quantities.count != len(intervals):
                 violations.append(f"{label} n={n}: count identity")
             cap = F(2) ** n
@@ -140,7 +141,7 @@ def test_criterion_3_construction_geometry():
                 cap *= fam.t(k)
             if quantities.count > cap:
                 violations.append(f"{label} n={n}: count cap")
-            m_n, t_n = quantities.branch_counts[-1], fam.t(n)
+            m_n, t_n = quantities.m_n, fam.t(n)
             if not (t_n / 2 < m_n < 2 * t_n):
                 violations.append(f"{label} n={n}: branch bracket")
             parents = intervals
@@ -283,8 +284,9 @@ def test_criterion_8_cli_determinism_and_format(capsys):
     for level in doc["levels"]:
         n = level["n"]
         round_trip = round_trip and int(level["N_n"]) == fam.word_count(n)
-        round_trip = round_trip and F(level["delta_n"]) == fam.diameter_bound(n)
-        round_trip = round_trip and F(level["epsilon_n"]) == fam.gap_bound(n)
+        quantities = fam.level_quantities(n)
+        round_trip = round_trip and F(level["delta_n"]) == quantities.diameter_bound
+        round_trip = round_trip and F(level["epsilon_n"]) == quantities.gap_bound
     code, out = capture("cylinder", "--word", "5,17", "--output", "json")
     doc = json.loads(out)
     word_interval = cylinder_interval([5, 17])

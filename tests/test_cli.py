@@ -438,8 +438,9 @@ def test_dim_json_round_trips_every_exact_value(capsys):
     for level in doc["levels"]:
         n = level["n"]
         assert int(level["N_n"]) == fam.word_count(n)
-        assert F(level["delta_n"]) == fam.diameter_bound(n)
-        assert F(level["epsilon_n"]) == fam.gap_bound(n)
+        quantities = fam.level_quantities(n)
+        assert F(level["delta_n"]) == quantities.diameter_bound
+        assert F(level["epsilon_n"]) == quantities.gap_bound
         assert 0 <= float(level["F_n"]) <= 1
     assert doc["levels"][0]["lower_n"] is None
     assert float(doc["estimated_dim"]) == pytest.approx(

@@ -226,7 +226,7 @@ def test_digit_range_floors_rational_values():
 
 
 def test_branch_and_word_counts(fam42):
-    assert fam42.level_quantities(3).branch_counts == (2, 4, 8)
+    assert [fam42.level_quantities(n).m_n for n in (1, 2, 3)] == [2, 4, 8]
     assert fam42.word_count(3) == 64
     assert fam42.word_count(1) == 2
 
@@ -236,15 +236,16 @@ def test_count_identity_and_bounds(test_families):
         for n in range(1, 7):
             quantities = fam.level_quantities(n)
             product = 1
-            for m in quantities.branch_counts:
-                product *= m
+            for k in range(1, n + 1):
+                lo, hi = fam.digit_range(k)
+                product *= hi - lo + 1
             assert quantities.count == product
             # exact rational comparisons, not floating ones
             cap = F(2) ** n
             for k in range(1, n + 1):
                 cap *= fam.t(k)
             assert quantities.count <= cap
-            m_n = quantities.branch_counts[-1]
+            m_n = quantities.m_n
             t_n = fam.t(n)
             assert t_n / 2 < m_n < 2 * t_n
             assert m_n >= 2
@@ -459,33 +460,34 @@ def test_min_gap_known_value(fam42):
 
 
 def test_diameter_bound_known_values(fam42, fam22):
-    assert fam42.diameter_bound(1) == F(1, 64)
-    assert fam42.diameter_bound(2) == F(1, 8192)
-    assert fam22.diameter_bound(1) == F(1, 2)
+    assert fam42.level_quantities(1).diameter_bound == F(1, 64)
+    assert fam42.level_quantities(2).diameter_bound == F(1, 8192)
+    assert fam22.level_quantities(1).diameter_bound == F(1, 2)
 
 
 def test_gap_bound_known_values(fam42):
-    assert fam42.gap_bound(1) == F(1, 256)
-    assert fam42.gap_bound(2) == F(1, 32768)
+    assert fam42.level_quantities(1).gap_bound == F(1, 256)
+    assert fam42.level_quantities(2).gap_bound == F(1, 32768)
 
 
 def test_diameter_bound_dominates_every_interval(test_families):
     for fam in test_families:
         for n in range(1, 5):
-            bound = fam.diameter_bound(n)
+            bound = fam.level_quantities(n).diameter_bound
             assert all(iv.length <= bound for iv in fam.level_intervals(n))
 
 
 def test_gap_bound_is_below_every_gap(test_families):
     for fam in test_families:
         for n in range(1, 5):
-            assert fam.min_gap(n) >= fam.gap_bound(n)
+            assert fam.min_gap(n) >= fam.level_quantities(n).gap_bound
 
 
 def test_gap_bound_strictly_decreases(test_families):
     for fam in test_families:
         for n in range(2, 21):
-            assert fam.gap_bound(n - 1) > fam.gap_bound(n)
+            assert (fam.level_quantities(n - 1).gap_bound
+                    > fam.level_quantities(n).gap_bound)
 
 
 def level_error(call):
@@ -506,20 +508,21 @@ def test_level_bounds_fail_where_the_level_intervals_do(pairs, n):
     # quantity needs the conditions and the terms up to level n + 1
     fam = SequenceFamily.from_pairs(pairs)
     errors = [level_error(call) for call in (
-        lambda: fam.min_gap(n), lambda: fam.diameter_bound(n),
-        lambda: fam.level_quantities(n), lambda: fam.gap_bound(n))]
+        lambda: fam.min_gap(n), lambda: fam.level_quantities(n).diameter_bound,
+        lambda: fam.level_quantities(n), lambda: fam.level_quantities(n).gap_bound)]
     assert errors == [errors[0]] * 4
 
 
 def test_level_quantities_consistency(fam42):
+    swept = list(fam42.iter_level_quantities(5))
     for n in range(1, 6):
         quantities = fam42.level_quantities(n)
         assert quantities.n == n
         assert quantities.count == fam42.word_count(n)
         j_min, j_max = fam42.digit_range(n)
-        assert quantities.branch_counts[-1] == j_max - j_min + 1
-        assert quantities.diameter_bound == fam42.diameter_bound(n)
-        assert quantities.gap_bound == fam42.gap_bound(n)
+        assert quantities.m_n == j_max - j_min + 1
+        assert quantities.diameter_bound == swept[n - 1].diameter_bound
+        assert quantities.gap_bound == swept[n - 1].gap_bound
 
 
 def test_iter_level_quantities_matches_single_level_calls(fam21):
@@ -653,6 +656,12 @@ def counting_family():
     return SequenceFamily.from_function(s, t), calls
 
 
+def read_level_6(family):
+    """One level's quantities, with both bounds and the longest length read."""
+    quantities = family.level_quantities(6)
+    return quantities.diameter_bound, quantities.gap_bound, quantities.max_length
+
+
 SINGLE_PASS_OPERATIONS = {
     "levels": lambda f: list(f.levels(6)),
     "digit_range": lambda f: f.digit_range(4),
@@ -662,10 +671,8 @@ SINGLE_PASS_OPERATIONS = {
     "basic_interval": lambda f: f.basic_interval([5, 17, 65]),
     "level_intervals": lambda f: f.level_intervals(3),
     "min_gap": lambda f: f.min_gap(3),
-    "diameter_bound": lambda f: f.diameter_bound(4),
-    "gap_bound": lambda f: f.gap_bound(4),
     "iter_level_quantities": lambda f: list(f.iter_level_quantities(6)),
-    "level_quantities": lambda f: f.level_quantities(6),
+    "level_quantities": read_level_6,
     "check_conditions": lambda f: f.check_conditions(6),
     "estimate_dimension": lambda f: estimate_dimension(f, 12),
     "formula_quotient": lambda f: formula_quotient(f, 6),
@@ -875,7 +882,7 @@ def test_stepped_walker_errors_agree_with_the_validation_loop():
                 calls += [
                     lambda: estimate_dimension(fam, depth - 1),
                     lambda: list(fam.iter_level_quantities(depth - 1)),
-                    lambda: fam.diameter_bound(depth - 1),
+                    lambda: fam.level_quantities(depth - 1).diameter_bound,
                     lambda: empirical_cover_fit(fam, [1, depth - 1]),
                 ]
             for call in calls:

@@ -233,7 +233,7 @@ def test_covering_denominator_identity(test_families):
         for n in range(1, 41):
             den = sum(log_rational(fam.s(k)) for k in range(1, n + 2))
             den += log_rational(fam.s(n + 1)) - log_rational(fam.t(n + 1))
-            lhs = -log_rational(fam.diameter_bound(n))
+            lhs = -log_rational(fam.level_quantities(n).diameter_bound)
             assert lhs == pytest.approx(den - math.log(4), abs=1e-9)
 
 

@@ -1,7 +1,7 @@
 """The integer comparisons of interval endpoints against plain Fraction
-arithmetic: smallest_gap, the RatInterval order checks, the prefix
-recurrence behind reconstruct and the cylinders, and the reduced integer
-pairs of the level bounds."""
+arithmetic: the gap scan _smallest_gap, the RatInterval order checks, the
+prefix recurrence behind reconstruct and the cylinders, and the reduced
+integer pairs of the level bounds."""
 
 import itertools
 import math
@@ -15,7 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from engeldim import DomainError, SequenceFamily  # noqa: E402
-from engeldim.construction import smallest_gap  # noqa: E402
+from engeldim.construction import _smallest_gap  # noqa: E402
 from engeldim.engel import (  # noqa: E402
     RatInterval,
     _prefix_endpoints,
@@ -57,9 +57,15 @@ def evenly_spaced(draw):
             for k in range(count)]
 
 
+def ends(intervals):
+    """The (lo_num, lo_den, hi_num, hi_den) tuples that _smallest_gap scans."""
+    return ((iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)
+            for iv in intervals)
+
+
 def check_smallest_gap(intervals):
     expected = min(fraction_gaps(intervals), default=None)
-    got = smallest_gap(intervals)
+    got = _smallest_gap(ends(intervals))
     assert got == expected
     if expected is not None:
         # a Fraction equal to the expected one is reduced the same way, so
@@ -89,14 +95,14 @@ def test_smallest_gap_of_tied_gaps(intervals):
 
 
 def test_smallest_gap_of_fewer_than_two_intervals_is_none():
-    assert smallest_gap([]) is None
-    assert smallest_gap(iter([])) is None
-    assert smallest_gap([RatInterval(F(1, 3), F(1, 2))]) is None
+    assert _smallest_gap([]) is None
+    assert _smallest_gap(iter([])) is None
+    assert _smallest_gap(list(ends([RatInterval(F(1, 3), F(1, 2))]))) is None
 
 
 def test_smallest_gap_reads_an_iterator_once():
     intervals = [RatInterval(F(k, 10), F(2 * k + 1, 20)) for k in range(5)]
-    assert smallest_gap(iter(intervals)) == F(1, 20)
+    assert _smallest_gap(ends(intervals)) == F(1, 20)
 
 
 @pytest.mark.parametrize("family, depth", [
@@ -109,10 +115,11 @@ def test_smallest_gap_reads_an_iterator_once():
 ])
 def test_smallest_gap_of_a_level_is_the_fraction_minimum(family, depth):
     # endpoints with large, nearly equal cross-products; min_gap scans the
-    # level's unreduced endpoint ints, smallest_gap its intervals
+    # level's unreduced endpoint ints, check_smallest_gap the reduced
+    # endpoints of its intervals
     intervals = family.level_intervals(depth)
     check_smallest_gap(intervals)
-    assert family.min_gap(depth) == smallest_gap(intervals)
+    assert family.min_gap(depth) == _smallest_gap(ends(intervals))
     if depth == 0:
         assert family.min_gap(depth) is None
 

@@ -16,11 +16,14 @@ not multiples or divisors of the row before.  They also cover full levels:
 8,192 intervals of (2^n, 2) in all three formats, and a pair table with
 mixed branching as text and json, which state the minimum gap.
 
-The same cases and digests are also replayed through `python -m engeldim`
-under every python3.10 to python3.13 on PATH, or installed by pyenv, since
-the output must not depend on the interpreter.
+The same cases and digests are also replayed under every python3.10 to
+python3.13 on PATH, or else installed by pyenv, since the output must not
+depend on the interpreter.  One child process per interpreter runs
+engeldim.cli.main on every case, with stdout and stderr captured as bytes,
+and one `python -m engeldim` run per interpreter covers the entry point.
 """
 
+import base64
 import hashlib
 import json
 import os
@@ -96,6 +99,47 @@ def _interpreter(python):
     return None
 
 
+# the replay child: reads [argv, digested] pairs on stdin, runs each argv
+# through cli.main with stdout and stderr on byte buffers encoded as its
+# own, and writes one [exit code, stdout, stderr] per case as JSON, stdout
+# as [length, sha256] when digested and as base64 otherwise, stderr as
+# base64.  An exception leaves exit code 1 and its traceback, as
+# `python -m engeldim` would.
+REPLAY = """
+import base64, hashlib, io, json, sys, traceback
+from engeldim.cli import main
+
+def captured(real):
+    return io.TextIOWrapper(io.BytesIO(), encoding=real.encoding, errors=real.errors)
+
+results = []
+for argv, digested in json.load(sys.stdin):
+    sys.stdout, sys.stderr = captured(sys.__stdout__), captured(sys.__stderr__)
+    try:
+        code = main(argv)
+    except Exception:
+        traceback.print_exc()
+        code = 1
+    sys.stdout.flush()
+    sys.stderr.flush()
+    out, err = sys.stdout.buffer.getvalue(), sys.stderr.buffer.getvalue()
+    out = ([len(out), hashlib.sha256(out).hexdigest()] if digested
+           else base64.b64encode(out).decode())
+    results.append([code, out, base64.b64encode(err).decode()])
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+json.dump(results, sys.stdout)
+"""
+
+
+def _expected(case):
+    """(exit code, stdout or its (length, sha256), stderr) of a case."""
+    if "stdout_sha256" in case:
+        out = (case["stdout_bytes"], case["stdout_sha256"])
+    else:
+        out = (GOLDEN / f"{case['name']}.out").read_bytes()
+    return case["exit_code"], out, case["stderr"]
+
+
 @pytest.mark.parametrize("python", [f"python3.{minor}" for minor in range(10, 14)])
 def test_every_interpreter_replays_the_goldens(python):
     exe = _interpreter(python)
@@ -104,17 +148,20 @@ def test_every_interpreter_replays_the_goldens(python):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cases = CASES + DIGESTS
+    request = [[case["argv"], "stdout_sha256" in case] for case in cases]
+    proc = subprocess.run([exe, "-c", REPLAY], input=json.dumps(request).encode(),
+                          env=env, capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
     mismatched = []
-    for case in CASES + DIGESTS:
-        proc = subprocess.run([exe, "-m", "engeldim", *case["argv"]], env=env,
-                              capture_output=True, timeout=300)
-        if "stdout_sha256" in case:
-            out = (len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest())
-            expected = (case["stdout_bytes"], case["stdout_sha256"])
-        else:
-            out = proc.stdout
-            expected = (GOLDEN / f"{case['name']}.out").read_bytes()
-        if (proc.returncode, out, proc.stderr.decode()) != (
-                case["exit_code"], expected, case["stderr"]):
+    for case, (code, out, err) in zip(cases, json.loads(proc.stdout), strict=True):
+        out = tuple(out) if "stdout_sha256" in case else base64.b64decode(out)
+        if (code, out, base64.b64decode(err).decode()) != _expected(case):
             mismatched.append(case["name"])
     assert mismatched == []
+
+    # the entry point, on a case that writes stdout and exits non-zero
+    case = next(case for case in CASES if case["name"] == "check-csv-fail")
+    proc = subprocess.run([exe, "-m", "engeldim", *case["argv"]], env=env,
+                          capture_output=True, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == _expected(case)
