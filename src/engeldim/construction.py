@@ -17,13 +17,10 @@ from its reduced integer pair.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .engel import (
     DigitWord,
@@ -31,6 +28,8 @@ from .engel import (
     _prefix_endpoints,
     _prefix_interval,
     _prefix_state,
+    _Record,
+    _set,
 )
 from .errors import (
     ConditionError,
@@ -41,6 +40,9 @@ from .errors import (
     SizeLimitError,
 )
 from .ratmath import _NOT_RATIONAL, _to_rational, exact_kth_root
+
+if TYPE_CHECKING:
+    import random
 
 # hard cap on materialized words per level; counts grow like the product
 # of the t_k, so a runaway request must fail loudly instead of thrashing
@@ -53,8 +55,7 @@ DIVERGES_ASSERTED = "asserted"
 DIVERGES_VIOLATED = "violated-at-depth"
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of checking the window conditions up to a finite depth.
 
     bounds_ok covers s_n >= t_n >= 2, growth_ok covers s_{n+1} >= s_n + t_n,
@@ -76,19 +77,56 @@ class ConditionReport:
         return self.bounds_ok and self.growth_ok and self.divergence != DIVERGES_VIOLATED
 
 
-@dataclass(frozen=True)
-class LevelQuantities:
+class _Prefix:
+    """The first n items of a list that is only ever appended to.
+
+    Each level of a sweep reads its window starts through one of these
+    from the one list the sweep appends to, so no level copies the starts
+    of the levels before it.  Compares, hashes and prints as the tuple of
+    its n items.
+    """
+
+    __slots__ = ("_items", "_n")
+
+    def __init__(self, items: list[int], n: int):
+        self._items, self._n = items, n
+
+    def __iter__(self) -> Iterator[int]:
+        return itertools.islice(self._items, self._n)
+
+    def __eq__(self, other):
+        if isinstance(other, _Prefix):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class LevelQuantities(NamedTuple):
     """Exact bookkeeping for one level: the count N_n, the branch count m_n
     of level n, and what both bounds and the longest length are built from
-    when read, so a reader of one level pays for that level's values only."""
+    when read, so a reader of one level pays for that level's values only.
+
+    starts is a view of the list of window starts that the whole sweep
+    appends to, limited to levels 1..n; window_starts copies them out.
+    """
 
     n: int
     count: int
     m_n: int  # the branch count of level n
     prod_s: int | Fraction  # s_1...s_n
-    window_starts: tuple[int, ...]  # the window starts j_min of levels 1..n
+    starts: Iterable[int]  # the window starts j_min of levels 1..n
     s_n: int | Fraction
     next_level: tuple[int | Fraction, int | Fraction, int, int]  # level n+1 (s, t, lo, hi)
+
+    @property
+    def window_starts(self) -> tuple[int, ...]:
+        """The window starts j_min of levels 1..n."""
+        return tuple(self.starts)
 
     @property
     def diameter_bound(self) -> Fraction:
@@ -134,25 +172,31 @@ class LevelQuantities:
         product of the window starts."""
         _, _, j_min, j_max = self.next_level
         return Fraction(j_max - j_min + 1,
-                        _balanced_prod(self.window_starts) * (j_min - 1) * j_max)
+                        _balanced_prod(self.starts) * (j_min - 1) * j_max)
 
 
-@dataclass(frozen=True, eq=False)
-class SequenceFamily:
+class SequenceFamily(_Record):
     """A pair of positive-rational sequences defining the digit windows.
 
     Construct via one of the classmethods; the generic constructor is only
     for wiring in closures.  kind is one of "geometric", "power-geometric",
-    "explicit-pair".
+    "explicit-pair".  Immutable, and equal only to itself.
     """
 
-    kind: str
-    description: str
-    _s_fn: Callable[[int], object]  # each value goes through Fraction()
-    _t_fn: Callable[[int], object]
-    _diverges: bool | None  # True certified, False refuted, None unknown
-    # (s_n, t_n) for n = 1, 2, ... to walk; None walks s(n) and t(n)
-    _terms: Callable[[], Iterator[tuple[int | Fraction, int | Fraction]]] | None = None
+    # each value of _s_fn and _t_fn goes through Fraction(); _diverges is
+    # True certified, False refuted, None unknown; _terms yields (s_n, t_n)
+    # for n = 1, 2, ... to walk, and None walks s(n) and t(n)
+    _fields = ("kind", "description", "_s_fn", "_t_fn", "_diverges", "_terms")
+    __slots__ = _fields + ("__weakref__",)
+
+    def __init__(self, kind: str, description: str,
+                 _s_fn: Callable[[int], object], _t_fn: Callable[[int], object],
+                 _diverges: bool | None,
+                 _terms: Callable[[], Iterator[tuple[int | Fraction, int | Fraction]]]
+                 | None = None):
+        for name, value in zip(self._fields,
+                               (kind, description, _s_fn, _t_fn, _diverges, _terms)):
+            _set(self, name, value)
 
     # -- constructors -------------------------------------------------
 
@@ -200,11 +244,9 @@ class SequenceFamily:
             raise DomainError(
                 f"{b}**({th}) is irrational; supply the values as explicit pairs"
             )
-        return dataclasses.replace(
-            cls.geometric(b, Fraction(root_num, root_den)),
-            kind="power-geometric",
-            description=f"s_n = {b}^n, t_n = {b}^({th}*n)",
-        )
+        family = cls.geometric(b, Fraction(root_num, root_den))
+        return cls("power-geometric", f"s_n = {b}^n, t_n = {b}^({th}*n)",
+                   family._s_fn, family._t_fn, family._diverges, family._terms)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "SequenceFamily":
@@ -471,7 +513,7 @@ class SequenceFamily:
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
         prod_s = count = 1
-        starts: list[int] = []
+        starts: list[int] = []  # one list, read by every level's record
         # level n's intervals are built from window n + 1, so walk to it
         walk = itertools.pairwise(self.levels(depth + 1))
         for n, ((s_n, _, lo, hi), next_level) in enumerate(walk, 1):
@@ -479,7 +521,7 @@ class SequenceFamily:
             starts.append(lo)
             m = hi - lo + 1
             count *= m
-            yield LevelQuantities(n, count, m, prod_s, tuple(starts), s_n,
+            yield LevelQuantities(n, count, m, prod_s, _Prefix(starts, n), s_n,
                                   next_level)
 
     def level_quantities(self, n: int) -> LevelQuantities:

@@ -18,9 +18,8 @@ natural base is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .construction import SequenceFamily, _balanced_prod
 from .errors import DomainError, SizeLimitError
@@ -40,8 +39,7 @@ LOG2 = log(2)
 LOG4 = log(4)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     """All three quotient sequences up to n_max, plus the tail summary.
 
     Entry k of each list is the value at level k+1; the lower sequence is
@@ -63,8 +61,7 @@ class DimensionReport:
     caveat: str = PROXY_CAVEAT
 
 
-@dataclass(frozen=True)
-class CoverFitResult:
+class CoverFitResult(NamedTuple):
     """Proportional fit of log count against log inverse diameter."""
 
     slope: float

@@ -10,9 +10,8 @@ all be done exactly.  Nothing in this module touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InternalError, InvalidWordError
 from .ratmath import _fraction_str, _to_rational
@@ -51,25 +50,59 @@ class DigitWord(tuple):
         return f"DigitWord({list(self)!r})"
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    """Interval with exact rational endpoints and end-closure flags."""
+# assigns a field of a record whose own __setattr__ refuses every assignment
+_set = object.__setattr__
 
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool = True
-    hi_closed: bool = False
+
+class _Record:
+    """Base of an immutable record kept in __slots__: _fields names the
+    fields in constructor order, and the record prints and pickles by them.
+    A dataclass would do as much, but importing dataclasses and generating
+    its methods took most of the time the package needs to import."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class RatInterval(_Record):
+    """Interval with exact rational endpoints and end-closure flags.
+
+    Immutable; equal intervals have equal fields and hash alike.
+    """
+
+    _fields = ("lo", "hi", "lo_closed", "hi_closed")
+    __slots__ = _fields + ("__weakref__",)
+    __match_args__ = _fields
+
+    def __init__(self, lo, hi, lo_closed: bool = True, hi_closed: bool = False):
+        _fill(self, lo, hi, lo_closed, hi_closed)
+        self.__post_init__()
 
     def __post_init__(self):
+        # the checks of a public construction, a method of its own because
+        # bench/tracing.py wraps it to count the intervals built.
         # Fraction endpoints are kept as they are: rebuilding them was a
         # large share of the time taken to build a level of intervals
         lo, hi = self.lo, self.hi
         if type(lo) is not Fraction:
             lo = _to_rational(lo, "interval endpoint")
-            object.__setattr__(self, "lo", lo)
+            _set(self, "lo", lo)
         if type(hi) is not Fraction:
             hi = _to_rational(hi, "interval endpoint")
-            object.__setattr__(self, "hi", hi)
+            _set(self, "hi", hi)
         # the sign of hi - lo from one integer cross-product, exact because
         # Fraction denominators are positive; Fraction's own comparisons
         # cost an abstract-base-class check each
@@ -78,6 +111,15 @@ class RatInterval:
             raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
         if order == 0 and not (self.lo_closed and self.hi_closed):
             raise DomainError("a degenerate interval must be closed on both ends")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.lo, self.hi, self.lo_closed, self.hi_closed)
+                == (other.lo, other.hi, other.lo_closed, other.hi_closed))
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.lo_closed, self.hi_closed))
 
     @property
     def length(self) -> Fraction:
@@ -118,8 +160,17 @@ def _interval_str(lo: str, hi: str, lo_closed: bool = True, hi_closed: bool = Tr
     return f"{left}{lo}, {hi}{right}"
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+def _fill(interval: RatInterval, lo: Fraction, hi: Fraction,
+          lo_closed: bool, hi_closed: bool) -> RatInterval:
+    # the fields of a new interval, unchecked
+    _set(interval, "lo", lo)
+    _set(interval, "hi", hi)
+    _set(interval, "lo_closed", lo_closed)
+    _set(interval, "hi_closed", hi_closed)
+    return interval
+
+
+class ExpansionResult(NamedTuple):
     """Digits extracted from one orbit, with its termination status.
 
     remainder is the orbit point after the last extracted digit, so
@@ -193,10 +244,13 @@ def _prefix_endpoints(a: int, p: int, j_min: int, j_max: int
 
 def _prefix_interval(a: int, p: int, j_min: int, j_max: int,
                      hi_closed: bool = True) -> RatInterval:
-    # _prefix_endpoints as a RatInterval, closed on the left
+    # _prefix_endpoints as a RatInterval, closed on the left, without
+    # RatInterval's own check, which for a deep word multiplies long ints:
+    # the endpoints are checked in order already, and only an empty window
+    # makes them equal, on a basic interval, which is closed
     lo_num, lo_den, hi_num, hi_den = _prefix_endpoints(a, p, j_min, j_max)
-    return RatInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den),
-                       True, hi_closed)
+    return _fill(object.__new__(RatInterval), Fraction(lo_num, lo_den),
+                 Fraction(hi_num, hi_den), True, hi_closed)
 
 
 def reconstruct(word) -> Fraction:

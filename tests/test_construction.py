@@ -532,6 +532,24 @@ def test_iter_level_quantities_matches_single_level_calls(fam21):
         assert quantities == fam21.level_quantities(quantities.n)
 
 
+def test_records_held_from_one_sweep_keep_their_own_window_starts(fam42):
+    # every record of a sweep reads its starts from the one list the sweep
+    # appends to, so a record held while the sweep goes on must still see
+    # only the starts of its own levels
+    swept = list(fam42.iter_level_quantities(50))
+    for lq in swept:
+        windows = fam42._windows(lq.n + 1)
+        starts = tuple(lo for lo, _ in windows[:-1])
+        assert lq.window_starts == starts
+        j_min, j_max = windows[-1]
+        assert lq.max_length == F(j_max - j_min + 1,
+                                  math.prod(starts) * (j_min - 1) * j_max)
+        # as a record with its own tuple of starts: equal, with equal hash
+        # and text
+        own = lq._replace(starts=starts)
+        assert lq == own and hash(lq) == hash(own) and repr(lq) == repr(own)
+
+
 def rational_table_family() -> SequenceFamily:
     """Valid 11-level table whose terms are not integers."""
     pairs, s = [], F(9, 2)

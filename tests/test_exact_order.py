@@ -19,6 +19,8 @@ from engeldim.construction import _smallest_gap  # noqa: E402
 from engeldim.engel import (  # noqa: E402
     RatInterval,
     _prefix_endpoints,
+    _prefix_interval,
+    _prefix_state,
     cylinder_interval,
     cylinder_length,
     reconstruct,
@@ -200,6 +202,37 @@ def test_prefix_endpoints_check_their_order_as_an_interval_does(a, p, j_min, j_m
     else:
         lo_num, lo_den, hi_num, hi_den = _prefix_endpoints(a, p, j_min, j_max)
         assert (F(lo_num, lo_den), F(hi_num, hi_den)) == (lo, hi)
+
+
+def check_prefix_interval(a, p, j_min, j_max, hi_closed):
+    # _prefix_interval skips RatInterval's order check, so it must build
+    # what the checked public constructor builds from the same endpoints
+    lo_num, lo_den, hi_num, hi_den = _prefix_endpoints(a, p, j_min, j_max)
+    public = RatInterval(F(lo_num, lo_den), F(hi_num, hi_den), True, hi_closed)
+    interval = _prefix_interval(a, p, j_min, j_max, hi_closed)
+    assert interval == public
+    assert type(interval.lo) is F and type(interval.hi) is F
+
+
+@SEEDED
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=60),
+       st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=40),
+       st.booleans())
+def test_prefix_interval_is_the_checked_interval(a, p, j_min, width, hi_closed):
+    # width 0 is an empty window, a point, which only a closed interval holds
+    check_prefix_interval(a, p, j_min, j_min - 1 + width, hi_closed or width == 0)
+
+
+def test_prefix_interval_of_a_deep_word_is_the_checked_interval():
+    fam = SequenceFamily.geometric(2, 2)
+    *windows, (j_min, j_max) = fam._windows(301)
+    word = [hi for _, hi in windows]  # 300 digits
+    check_prefix_interval(*_prefix_state(word), j_min, j_max, True)
+    check_prefix_interval(*_prefix_state(word[:-1]), word[-1], word[-1], False)
+    assert fam.basic_interval(word) == _prefix_interval(*_prefix_state(word), j_min, j_max)
+    # the public constructor keeps its check
+    with pytest.raises(DomainError):
+        RatInterval(F(1, 2), F(1, 3))
 
 
 # -- the reduced pairs of the level bounds --------------------------------------

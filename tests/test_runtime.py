@@ -2,6 +2,7 @@
 are test-only extras."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +34,18 @@ def test_project_declares_no_runtime_dependency():
     with open(ROOT / "pyproject.toml", "rb") as f:
         project = tomllib.load(f)["project"]
     assert project["dependencies"] == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # together they took most of the package's import time, which every
+    # run of the program pays before its command starts.  Modules the bare
+    # interpreter loads are left out: site .pth files differ by machine
+    code = ("import sys; bare = set(sys.modules); import engeldim.cli; "
+            "print(*sorted(set(sys.modules) - bare))")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "engeldim.cli" in loaded
+    assert {"dataclasses", "inspect"} & set(loaded) == set()
 
 
 def module_private_names(tree: ast.Module) -> set[str]:
