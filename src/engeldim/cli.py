@@ -17,7 +17,9 @@ quadratic time; each of their cells is rendered from the exact Decimal of
 the cell above it instead, in time linear in its length; one long
 division per cell, as a rule, finds the ratio of the two.  delta_n and
 epsilon_n are rendered from the reduced integer pairs of the level's
-bounds, so no Fraction is built per cell.
+bounds, so no Fraction is built per cell.  A full level is printed from
+its unreduced endpoint ints: each endpoint is reduced by one gcd, and each
+text line is one f-string.
 
 A command is one row of _COMMANDS, which names its flags and its runner.
 The runner returns a Report, one row source per format, and one writer per
@@ -39,6 +41,7 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .construction import (
@@ -436,9 +439,13 @@ def _endpoints(texts: Iterable[tuple[str, str]]) -> _Stream:
     return _Stream({"lo": lo, "hi": hi} for lo, hi in texts)
 
 
-def _length_str(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> str:
-    # hi - lo of unreduced endpoints: one subtraction and one gcd
-    return _fraction_str(hi_num * lo_den - lo_num * hi_den, lo_den * hi_den)
+def _lowest_terms(ends: Iterable[tuple[int, int, int, int]]
+                  ) -> Iterator[tuple[int, int, int, int]]:
+    # each interval's (lo_num, lo_den, hi_num, hi_den) in lowest terms, by
+    # one gcd per endpoint
+    for lo_num, lo_den, hi_num, hi_den in ends:
+        g, h = gcd(lo_num, lo_den), gcd(hi_num, hi_den)
+        yield lo_num // g, lo_den // g, hi_num // h, hi_den // h
 
 
 def _report(cfg: argparse.Namespace, text, csv, json, code: int = 0) -> Report:
@@ -583,30 +590,41 @@ def _run_level(cfg: argparse.Namespace) -> Report:
             },
         )
 
-    # the level as unreduced endpoint ints: each is reduced once, as it is
-    # printed, and no Fraction or RatInterval is built for it
+    # the level as unreduced endpoint ints: each endpoint is reduced by one
+    # gcd as it is printed, and no Fraction or RatInterval is built for it
     ends = list(cfg.family._level_endpoints(n, cfg.limit))
     gap = _smallest_gap(ends)
     # the all-minimal word comes last; with the smallest digit product its
     # interval is the longest
-    max_length = _length_str(*ends[-1])
+    lo_num, lo_den, hi_num, hi_den = ends[-1]
+    max_length = _fraction_str(hi_num * lo_den - lo_num * hi_den, lo_den * hi_den)
+    # a level n >= 1 lies inside (0, 1/2], so every reduced endpoint and
+    # length of it prints as "p/q".  Level 0 is the one interval [0, 1],
+    # whose ends are the only whole numbers, printed as str(Fraction) does
+    count, whole, fractional = len(ends), [], ends
+    if n == 0:
+        whole = [(_fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den))]
+        fractional = []
 
     def text() -> Iterator[str]:
         yield f"level: {n}"
-        yield f"count: {len(ends)}"
+        yield f"count: {count}"
         yield f"min gap: {'none' if gap is None else gap}"
         yield f"max length: {max_length}"
         yield "intervals:"
-        for lo_num, lo_den, hi_num, hi_den in ends:
-            lo, hi = _fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den)
+        for lo, hi in whole:
             yield f"  {_interval_str(lo, hi)}"
+        for a, b, c, d in _lowest_terms(fractional):
+            yield f"  [{a}/{b}, {c}/{d}]"
 
     def csv() -> Iterator[list[str]]:
         yield ["index", "lo", "hi", "length"]
-        for idx, (lo_num, lo_den, hi_num, hi_den) in enumerate(ends, start=1):
-            yield [str(idx), _fraction_str(lo_num, lo_den),
-                   _fraction_str(hi_num, hi_den),
-                   _length_str(lo_num, lo_den, hi_num, hi_den)]
+        for lo, hi in whole:
+            yield ["1", lo, hi, max_length]
+        for idx, (a, b, c, d) in enumerate(_lowest_terms(fractional), start=1):
+            num, den = c * b - a * d, b * d
+            g = gcd(num, den)
+            yield [str(idx), f"{a}/{b}", f"{c}/{d}", f"{num // g}/{den // g}"]
 
     return _report(
         cfg,
@@ -614,13 +632,13 @@ def _run_level(cfg: argparse.Namespace) -> Report:
         csv=csv,
         json=lambda: {
             "n": n,
-            "count": len(ends),
+            "count": count,
             "min_gap": None if gap is None else str(gap),
             "max_length": max_length,
-            "intervals": _endpoints(
-                (_fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den))
-                for lo_num, lo_den, hi_num, hi_den in ends
-            ),
+            "intervals": _endpoints(itertools.chain(
+                whole,
+                ((f"{a}/{b}", f"{c}/{d}") for a, b, c, d in _lowest_terms(fractional)),
+            )),
         },
     )
 

@@ -12,7 +12,10 @@ Everything here is exact: windows come from rational floors, endpoints and
 the two a priori bounds (the diameter bound delta_n that dominates every
 basic-interval length, and the gap bound epsilon_n that every gap between
 intervals of the same level dominates) are plain Fractions, each formed
-from its reduced integer pair.
+from its reduced integer pair.  A whole level is enumerated as unreduced
+endpoint ints instead: the last digit position of every parent state is
+expanded by one generator expression, and the endpoint formula of engel,
+with its window-order check, is applied once to the whole level.
 """
 
 from __future__ import annotations
@@ -472,8 +475,7 @@ class SequenceFamily(_Record):
         if n < 0:
             raise DomainError(f"level must be >= 0, got {n}")
         if n == 0:
-            yield 0, 1, 1, 1
-            return
+            return iter([(0, 1, 1, 1)])
         *windows, (j_min, j_max) = self._windows(n + 1)
         total = _balanced_prod(hi - lo + 1 for lo, hi in windows)
         if limit is not None and total > limit:
@@ -483,12 +485,12 @@ class SequenceFamily(_Record):
         for w_lo, w_hi in head:
             digits = range(w_hi, w_lo - 1, -1)
             states = [(a * d + 1, p * d) for a, p in states for d in digits]
-        # the last digit position is expanded as the endpoints are yielded,
-        # so no count-sized list of level-n states is held
+        # the last digit position is expanded as the endpoints are drawn, so
+        # no count-sized list of level-n states is held
         last = range(hi, lo - 1, -1)
-        for a, p in states:
-            for d in last:
-                yield _prefix_endpoints(a * d + 1, p * d, j_min, j_max)
+        return _prefix_endpoints(
+            ((a * d + 1, p * d) for (a, p), d in itertools.product(states, last)),
+            j_min, j_max)
 
     def min_gap(self, n: int,
                 limit: int | None = DEFAULT_LEVEL_LIMIT) -> Fraction | None:

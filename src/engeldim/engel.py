@@ -5,13 +5,17 @@ Iterating it from a point x in (0, 1) produces the digits of the Engel
 series of x, a sum of reciprocals of growing digit products.  Every
 rational orbit reaches 0 after finitely many steps, so digit extraction,
 series reconstruction, and the interval geometry of digit prefixes can
-all be done exactly.  Nothing in this module touches floating point.
+all be done exactly.  The orbit of x = n/q stays over the denominator q,
+so digit extraction steps the numerator alone, in plain int arithmetic;
+the endpoints of a prefix's interval come from one integer formula, whose
+order is checked once per window.  Nothing in this module touches
+floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InternalError, InvalidWordError
 from .ratmath import _fraction_str, _to_rational
@@ -183,12 +187,6 @@ class ExpansionResult(NamedTuple):
     remainder: Fraction
 
 
-def _ceil_reciprocal(x: Fraction) -> int:
-    # exact ceil(1/x) for x in (0, 1); integer ceiling division only,
-    # floating point would misplace reciprocal-integer boundaries
-    return -((-x.denominator) // x.numerator)
-
-
 def engel_digits(x, max_depth: int | None = None) -> ExpansionResult:
     """Extract the Engel digits of a rational x in (0, 1).
 
@@ -201,19 +199,21 @@ def engel_digits(x, max_depth: int | None = None) -> ExpansionResult:
         raise DomainError(f"engel_digits needs 0 < x < 1, got {x}")
     if max_depth is not None and max_depth < 1:
         raise DomainError(f"max_depth must be >= 1, got {max_depth}")
-    cap = x.denominator
-    limit = cap if max_depth is None else max_depth
+    # the orbit stays over the denominator q of x: T(num/q) = (num*d - q)/q
+    # with d = ceil(q/num), an integer ceiling division, as floating point
+    # would misplace reciprocal-integer boundaries
+    num, q = x.numerator, x.denominator
+    limit = q if max_depth is None else max_depth
     digits: list[int] = []
-    r = x
-    while r != 0 and len(digits) < limit:
-        if len(digits) >= cap:
-            # the orbit numerator over a fixed denominator strictly
-            # decreases, so a run this long means broken arithmetic
-            raise InternalError(f"expansion of {x} exceeded {cap} digits")
-        d = _ceil_reciprocal(r)
+    while num and len(digits) < limit:
+        if len(digits) >= q:
+            # the numerator strictly decreases, so a run this long means
+            # broken arithmetic
+            raise InternalError(f"expansion of {x} exceeded {q} digits")
+        d = -(-q // num)
         digits.append(d)
-        r = r * d - 1  # T(r)
-    return ExpansionResult(DigitWord(digits), r == 0, r)
+        num = num * d - q
+    return ExpansionResult(DigitWord(digits), num == 0, Fraction(num, q))
 
 
 def _prefix_state(digits: Iterable[int]) -> tuple[int, int]:
@@ -225,21 +225,26 @@ def _prefix_state(digits: Iterable[int]) -> tuple[int, int]:
     return a, p
 
 
-def _prefix_endpoints(a: int, p: int, j_min: int, j_max: int
-                      ) -> tuple[int, int, int, int]:
+def _prefix_endpoints(states: Iterable[tuple[int, int]], j_min: int, j_max: int
+                      ) -> Iterator[tuple[int, int, int, int]]:
     # the points continuing prefix state (a, p) with a digit in j_min..j_max
     # lie from a/p + 1/(p*j_max) to a/p + 1/(p*(j_min - 1)).  The endpoints
-    # come as unreduced (lo_num, lo_den, hi_num, hi_den), denominators
-    # positive, and are checked in order as RatInterval checks them: the
-    # cross-product hi_num*lo_den - lo_num*hi_den, divided by the common
-    # factor p > 0, is j_max - (j_min - 1) for every state, so the check
-    # compares the window ends and takes no long multiply
-    lo_num, lo_den = a * j_max + 1, p * j_max
-    hi_num, hi_den = a * (j_min - 1) + 1, p * (j_min - 1)
-    if j_max < j_min - 1:
-        lo, hi = _fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den)
-        raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
-    return lo_num, lo_den, hi_num, hi_den
+    # of each state, drawn as the states are, come as unreduced
+    # (lo_num, lo_den, hi_num, hi_den), denominators positive.  They are
+    # checked in order as RatInterval checks them, once for every state:
+    # the cross-product hi_num*lo_den - lo_num*hi_den, divided by the
+    # common factor p > 0, is j_max - (j_min - 1) whatever the state
+    k = j_min - 1
+    ends = ((a * j_max + 1, p * j_max, a * k + 1, p * k) for a, p in states)
+    if j_max < k:
+        # a window that ends before j_min - 1: the endpoints of its first
+        # state name the fault
+        first = next(ends, None)
+        if first is not None:
+            lo_num, lo_den, hi_num, hi_den = first
+            lo, hi = _fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den)
+            raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
+    return ends
 
 
 def _prefix_interval(a: int, p: int, j_min: int, j_max: int,
@@ -248,7 +253,7 @@ def _prefix_interval(a: int, p: int, j_min: int, j_max: int,
     # RatInterval's own check, which for a deep word multiplies long ints:
     # the endpoints are checked in order already, and only an empty window
     # makes them equal, on a basic interval, which is closed
-    lo_num, lo_den, hi_num, hi_den = _prefix_endpoints(a, p, j_min, j_max)
+    [(lo_num, lo_den, hi_num, hi_den)] = _prefix_endpoints([(a, p)], j_min, j_max)
     return _fill(object.__new__(RatInterval), Fraction(lo_num, lo_den),
                  Fraction(hi_num, hi_den), True, hi_closed)
 

@@ -1,5 +1,7 @@
+import collections
 import io
 import json
+import random
 import re
 import shlex
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from engeldim import SequenceFamily, UsageError
+from engeldim import SequenceFamily, UsageError, cli, construction
 from engeldim.cli import _COMMAND_OPTIONS, build_parser, main, parse_config, run
 from engeldim.construction import DEFAULT_LEVEL_LIMIT
 from engeldim.dimension import DEFAULT_FIT_LIMIT
@@ -614,6 +616,90 @@ def test_level_renders_from_endpoint_ints(output):
     assert code == 0
     assert sink.bytes > 10**6
     assert peak < 3_300_000
+
+
+def random_table(rng):
+    """Five (s, t) pairs of small rationals that meet the window conditions,
+    enough for levels 0..4."""
+    pairs, s = [], F(rng.randint(12, 40), rng.randint(1, 3))
+    for _ in range(5):
+        t = 2 + F(rng.randint(0, 6), 3)
+        pairs.append((s, t))
+        s += t + F(rng.randint(0, 12), rng.randint(1, 4))
+    return pairs
+
+
+def level_oracle(family, n, output):
+    """The level command's output, built from level_intervals(n) through
+    Fraction arithmetic and str(Fraction)."""
+    intervals = family.level_intervals(n)
+    gaps = [right.lo - left.hi for left, right in zip(intervals, intervals[1:])]
+    gap = str(min(gaps)) if gaps else None
+    longest = str(max(iv.hi - iv.lo for iv in intervals))
+    if output == "text":
+        lines = [f"family: {family.description} ({family.kind})", f"level: {n}",
+                 f"count: {len(intervals)}", f"min gap: {gap or 'none'}",
+                 f"max length: {longest}", "intervals:"]
+        lines += [f"  [{iv.lo}, {iv.hi}]" for iv in intervals]
+        return "".join(line + "\n" for line in lines)
+    if output == "csv":
+        rows = ["index,lo,hi,length"]
+        rows += [f"{k},{iv.lo},{iv.hi},{iv.hi - iv.lo}"
+                 for k, iv in enumerate(intervals, start=1)]
+        return "".join(row + "\n" for row in rows)
+    doc = {
+        "command": "level",
+        "family": {"kind": family.kind, "description": family.description},
+        "n": n,
+        "count": len(intervals),
+        "min_gap": gap,
+        "max_length": longest,
+        "intervals": [{"lo": str(iv.lo), "hi": str(iv.hi)} for iv in intervals],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_level_output_matches_the_fraction_oracle(seed, capsys):
+    # level 0 holds the one interval with whole-number endpoints, [0, 1]
+    pairs = random_table(random.Random(seed))
+    family = SequenceFamily.from_pairs(pairs)
+    flag = ",".join(f"{s}:{t}" for s, t in pairs)
+    for n in range(5):
+        for output in ("text", "csv", "json"):
+            code, out, err = run_cli(capsys, "level", "--family", "explicit-pair",
+                                     "--pairs", flag, "--depth", str(n),
+                                     "--output", output)
+            assert (code, err) == (0, "")
+            assert out == level_oracle(family, n, output), (n, output)
+
+
+@pytest.mark.parametrize("output", ["text", "csv", "json"])
+def test_level_calls_no_helper_per_interval(output, monkeypatch):
+    # 1024 intervals: the endpoint builder is called once for the level,
+    # and the generic fraction and interval printers only for the header,
+    # never once per interval
+    calls = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(construction, "_prefix_endpoints")
+    count(cli, "_fraction_str")
+    count(cli, "_interval_str")
+    cfg = parse_config(["level", "--family", "geometric", "--s", "4", "--t", "2",
+                        "--depth", "4", "--output", output])
+    out = io.StringIO()
+    assert run(cfg, out) == 0
+    assert out.getvalue().count("/") > 2 * 1024
+    assert calls["_prefix_endpoints"] == 1
+    assert max(calls.values()) <= 2, calls
 
 
 def test_dim_csv_renders_each_level_as_the_walk_yields_it():

@@ -1,7 +1,7 @@
 """The integer comparisons of interval endpoints against plain Fraction
 arithmetic: the gap scan _smallest_gap, the RatInterval order checks, the
-prefix recurrence behind reconstruct and the cylinders, and the reduced
-integer pairs of the level bounds."""
+prefix recurrence behind reconstruct and the cylinders, the reduced
+integer pairs of the level bounds, and the integer Engel orbit."""
 
 import itertools
 import math
@@ -23,6 +23,7 @@ from engeldim.engel import (  # noqa: E402
     _prefix_state,
     cylinder_interval,
     cylinder_length,
+    engel_digits,
     reconstruct,
 )
 from engeldim.ratmath import _fraction_str  # noqa: E402
@@ -197,17 +198,17 @@ def test_prefix_endpoints_check_their_order_as_an_interval_does(a, p, j_min, j_m
     hi = F(a * (j_min - 1) + 1, p * (j_min - 1))
     if lo > hi:
         with pytest.raises(DomainError) as excinfo:
-            _prefix_endpoints(a, p, j_min, j_max)
+            _prefix_endpoints([(a, p)], j_min, j_max)
         assert str(excinfo.value) == f"interval endpoints out of order: {lo} > {hi}"
     else:
-        lo_num, lo_den, hi_num, hi_den = _prefix_endpoints(a, p, j_min, j_max)
+        [(lo_num, lo_den, hi_num, hi_den)] = _prefix_endpoints([(a, p)], j_min, j_max)
         assert (F(lo_num, lo_den), F(hi_num, hi_den)) == (lo, hi)
 
 
 def check_prefix_interval(a, p, j_min, j_max, hi_closed):
     # _prefix_interval skips RatInterval's order check, so it must build
     # what the checked public constructor builds from the same endpoints
-    lo_num, lo_den, hi_num, hi_den = _prefix_endpoints(a, p, j_min, j_max)
+    [(lo_num, lo_den, hi_num, hi_den)] = _prefix_endpoints([(a, p)], j_min, j_max)
     public = RatInterval(F(lo_num, lo_den), F(hi_num, hi_den), True, hi_closed)
     interval = _prefix_interval(a, p, j_min, j_max, hi_closed)
     assert interval == public
@@ -313,3 +314,25 @@ def test_each_branch_of_the_bound_pairs(fam, branch, delta, epsilon):
         assert (g1 == u) if branch == "g1 = u" else math.gcd(u // g1, prod_s) > 1
     check_bound_pairs(fam, 1)
     assert (lq._diameter_pair(), lq._gap_pair()) == (delta, epsilon)
+
+
+def fraction_orbit(x, max_depth):
+    """Digits, termination and remainder of the Engel orbit of x, by
+    Fraction arithmetic: digit ceil(1/r), then r becomes r*d - 1."""
+    digits, r = [], x
+    while r != 0 and (max_depth is None or len(digits) < max_depth):
+        d = math.ceil(1 / r)
+        digits.append(d)
+        r = r * d - 1
+    return digits, r == 0, r
+
+
+@SEEDED
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10**40)
+       .filter(lambda x: 0 < x < 1),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=12)))
+def test_integer_orbit_is_the_fraction_orbit(x, max_depth):
+    result = engel_digits(x, max_depth)
+    assert (list(result.digits), result.terminated, result.remainder) == \
+        fraction_orbit(x, max_depth)
+    assert type(result.remainder) is F
