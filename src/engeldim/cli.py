@@ -17,9 +17,9 @@ quadratic time; each of their cells is rendered from the exact Decimal of
 the cell above it instead, in time linear in its length; one long
 division per cell, as a rule, finds the ratio of the two.  delta_n and
 epsilon_n are rendered from the reduced integer pairs of the level's
-bounds, so no Fraction is built per cell.  A full level is printed from
-its unreduced endpoint ints: each endpoint is reduced by one gcd, and each
-text line is one f-string.
+bounds, so no Fraction is built per cell.  A full level is printed as a
+stream of its unreduced endpoint ints, never held: each endpoint is
+reduced by one gcd, and each text line is one f-string.
 
 A command is one row of _COMMANDS, which names its flags and its runner.
 The runner returns a Report, one row source per format, and one writer per
@@ -44,12 +44,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .construction import (
-    DEFAULT_LEVEL_LIMIT,
-    LevelQuantities,
-    SequenceFamily,
-    _smallest_gap,
-)
+from .construction import DEFAULT_LEVEL_LIMIT, LevelQuantities, SequenceFamily
 from .dimension import DEFAULT_FIT_LIMIT, empirical_cover_fit, estimate_dimension
 from .engel import DigitWord, _interval_str, cylinder_interval, engel_digits
 from .errors import (
@@ -590,21 +585,17 @@ def _run_level(cfg: argparse.Namespace) -> Report:
             },
         )
 
-    # the level as unreduced endpoint ints: each endpoint is reduced by one
-    # gcd as it is printed, and no Fraction or RatInterval is built for it
-    ends = list(cfg.family._level_endpoints(n, cfg.limit))
-    gap = _smallest_gap(ends)
-    # the all-minimal word comes last; with the smallest digit product its
-    # interval is the longest
-    lo_num, lo_den, hi_num, hi_den = ends[-1]
-    max_length = _fraction_str(hi_num * lo_den - lo_num * hi_den, lo_den * hi_den)
-    # a level n >= 1 lies inside (0, 1/2], so every reduced endpoint and
-    # length of it prints as "p/q".  Level 0 is the one interval [0, 1],
-    # whose ends are the only whole numbers, printed as str(Fraction) does
-    count, whole, fractional = len(ends), [], ends
+    # the level as a stream of unreduced endpoint ints: each endpoint is
+    # reduced by one gcd as it is printed, and no Fraction or RatInterval
+    # is built for it.  A level n >= 1 lies inside (0, 1/2], so every
+    # reduced endpoint and length of it prints as "p/q".  Level 0 is the
+    # one interval [0, 1], whose ends are the only whole numbers, printed
+    # as str(Fraction) does
+    count, gap, max_length, ends = cfg.family._level(n, cfg.limit)
+    whole, fractional = [], ends
     if n == 0:
-        whole = [(_fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den))]
-        fractional = []
+        whole = [(_fraction_str(a, b), _fraction_str(c, d)) for a, b, c, d in ends]
+        fractional = ()
 
     def text() -> Iterator[str]:
         yield f"level: {n}"
@@ -620,7 +611,7 @@ def _run_level(cfg: argparse.Namespace) -> Report:
     def csv() -> Iterator[list[str]]:
         yield ["index", "lo", "hi", "length"]
         for lo, hi in whole:
-            yield ["1", lo, hi, max_length]
+            yield ["1", lo, hi, str(max_length)]
         for idx, (a, b, c, d) in enumerate(_lowest_terms(fractional), start=1):
             num, den = c * b - a * d, b * d
             g = gcd(num, den)
@@ -634,7 +625,7 @@ def _run_level(cfg: argparse.Namespace) -> Report:
             "n": n,
             "count": count,
             "min_gap": None if gap is None else str(gap),
-            "max_length": max_length,
+            "max_length": str(max_length),
             "intervals": _endpoints(itertools.chain(
                 whole,
                 ((f"{a}/{b}", f"{c}/{d}") for a, b, c, d in _lowest_terms(fractional)),

@@ -12,10 +12,11 @@ Everything here is exact: windows come from rational floors, endpoints and
 the two a priori bounds (the diameter bound delta_n that dominates every
 basic-interval length, and the gap bound epsilon_n that every gap between
 intervals of the same level dominates) are plain Fractions, each formed
-from its reduced integer pair.  A whole level is enumerated as unreduced
-endpoint ints instead: the last digit position of every parent state is
-expanded by one generator expression, and the endpoint formula of engel,
-with its window-order check, is applied once to the whole level.
+from its reduced integer pair.  One builder reads a level's windows once
+and gives its count, its minimum gap in closed form, its longest length,
+and its basic intervals as a lazy stream of unreduced endpoint ints: the
+endpoint formula of engel, with its window-order check, is applied once to
+the whole level, and no state of the level is built before it is drawn.
 """
 
 from __future__ import annotations
@@ -170,12 +171,9 @@ class LevelQuantities(NamedTuple):
 
     @property
     def max_length(self) -> Fraction:
-        """Longest level-n interval length, the all-minimal word's:
-        1/(P*(j_min - 1)) - 1/(P*j_max) over window n+1, with P the
-        product of the window starts."""
+        """Longest level-n interval length, the all-minimal word's."""
         _, _, j_min, j_max = self.next_level
-        return Fraction(j_max - j_min + 1,
-                        _balanced_prod(self.starts) * (j_min - 1) * j_max)
+        return _longest_length(self.starts, j_min, j_max)
 
 
 class SequenceFamily(_Record):
@@ -455,50 +453,46 @@ class SequenceFamily(_Record):
         """
         return [
             RatInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den), True, True)
-            for lo_num, lo_den, hi_num, hi_den in self._level_endpoints(n, limit)
+            for lo_num, lo_den, hi_num, hi_den in self._level(n, limit)[3]
         ]
 
-    def _level_endpoints(self, n: int, limit: int | None
-                         ) -> Iterator[tuple[int, int, int, int]]:
-        # the level builder: each basic interval of level n as the unreduced
-        # ints (lo_num, lo_den, hi_num, hi_den) of _prefix_endpoints, sorted
-        # by left endpoint, after the size limit is checked.  Reducing them
-        # here would cost level_intervals each gcd twice, as Fraction takes
-        # its own.
+    def _level(self, n: int, limit: int | None
+               ) -> tuple[int, Fraction | None, Fraction,
+                          Iterator[tuple[int, int, int, int]]]:
+        # the level builder: from one list of the windows of levels 1..n+1,
+        # level n's count, min gap and longest length, and its basic
+        # intervals as a lazy stream of the unreduced ints (lo_num, lo_den,
+        # hi_num, hi_den) of _prefix_endpoints, sorted by left endpoint.
+        # The size limit and the window order are checked before the stream
+        # is returned.  Reducing the ints here would cost level_intervals
+        # each gcd twice, as Fraction takes its own.
         #
-        # The level grows one digit position at a time over prefix states
-        # (a, p): a/p is a word's reconstruction, p its digit product, and
-        # appending digit d gives (a*d + 1, p*d).  A larger digit puts a
-        # child further left inside its parent's cylinder, and cylinders of
-        # distinct parents are disjoint, so taking every window's digits in
-        # descending order keeps each level sorted by left endpoint.
+        # With window n = [lo, hi], window n+1 = [j_min, J], K = j_min - 1
+        # and P = hi_1...hi_{n-1}, the min gap is the level's first gap,
+        # (J*(K+1) - hi*(J-K)) / (J*K*hi*(hi-1)*P), as README proves.
         if n < 0:
             raise DomainError(f"level must be >= 0, got {n}")
         if n == 0:
-            return iter([(0, 1, 1, 1)])
+            return 1, None, Fraction(1), iter([(0, 1, 1, 1)])
         *windows, (j_min, j_max) = self._windows(n + 1)
-        total = _balanced_prod(hi - lo + 1 for lo, hi in windows)
-        if limit is not None and total > limit:
-            raise SizeLimitError(total, limit, f"level {n}")
-        *head, (lo, hi) = windows
-        states = [(0, 1)]
-        for w_lo, w_hi in head:
-            digits = range(w_hi, w_lo - 1, -1)
-            states = [(a * d + 1, p * d) for a, p in states for d in digits]
-        # the last digit position is expanded as the endpoints are drawn, so
-        # no count-sized list of level-n states is held
-        last = range(hi, lo - 1, -1)
-        return _prefix_endpoints(
-            ((a * d + 1, p * d) for (a, p), d in itertools.product(states, last)),
-            j_min, j_max)
+        count = _balanced_prod(hi - lo + 1 for lo, hi in windows)
+        if limit is not None and count > limit:
+            raise SizeLimitError(count, limit, f"level {n}")
+        *head, (_, hi) = windows
+        k = j_min - 1
+        gap = Fraction(j_max * (k + 1) - hi * (j_max - k),
+                       j_max * k * hi * (hi - 1) * _balanced_prod(h for _, h in head))
+        longest = _longest_length((lo for lo, _ in windows), j_min, j_max)
+        return count, gap, longest, _prefix_endpoints(_level_states(windows), j_min, j_max)
 
-    def min_gap(self, n: int,
-                limit: int | None = DEFAULT_LEVEL_LIMIT) -> Fraction | None:
-        """Smallest distance between consecutive level-n intervals.
+    def min_gap(self, n: int) -> Fraction | None:
+        """Smallest distance between consecutive level-n intervals, in
+        closed form, so no level is built.
 
-        None when the level has fewer than two intervals.
+        None only at level 0, the one interval [0, 1]: every window holds
+        at least 2 digits, so every later level has two intervals.
         """
-        return _smallest_gap(self._level_endpoints(n, limit))
+        return self._level(n, None)[1]
 
     # -- a priori bounds ---------------------------------------------------
 
@@ -535,18 +529,29 @@ class SequenceFamily(_Record):
         return last
 
 
-def _smallest_gap(endpoints: Iterable[tuple[int, int, int, int]]) -> Fraction | None:
-    # the gap scan over (lo_num, lo_den, hi_num, hi_den), denominators
-    # positive: each gap right.lo - left.hi stays an unreduced pair
-    # (num, den) with den > 0, pairs compare by cross-multiplication, and
-    # only the smallest is reduced to a Fraction
-    best_num, best_den = None, 1
-    for (_, _, hi_num, hi_den), (lo_num, lo_den, _, _) in itertools.pairwise(endpoints):
-        num = lo_num * hi_den - hi_num * lo_den
-        den = lo_den * hi_den
-        if best_num is None or num * best_den < best_num * den:
-            best_num, best_den = num, den
-    return None if best_num is None else Fraction(best_num, best_den)
+def _level_states(windows: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    # the prefix states (a, p) of the words drawn from the windows, one
+    # digit position at a time: a/p is a word's reconstruction, p its digit
+    # product, and appending digit d gives (a*d + 1, p*d).  A larger digit
+    # puts a child further left inside its parent's cylinder, and cylinders
+    # of distinct parents are disjoint, so taking every window's digits in
+    # descending order yields the states sorted by left endpoint.  Nothing
+    # is built until the first state is drawn, and the last digit position
+    # is expanded as the states are drawn, so no count-sized list is held
+    *head, (lo, hi) = windows
+    states = [(0, 1)]
+    for w_lo, w_hi in head:
+        digits = range(w_hi, w_lo - 1, -1)
+        states = [(a * d + 1, p * d) for a, p in states for d in digits]
+    for (a, p), d in itertools.product(states, range(hi, lo - 1, -1)):
+        yield a * d + 1, p * d
+
+
+def _longest_length(starts: Iterable[int], j_min: int, j_max: int) -> Fraction:
+    # the longest level-n length, the all-minimal word's: with P the
+    # product of the window starts of levels 1..n and [j_min, j_max]
+    # window n+1, 1/(P*(j_min - 1)) - 1/(P*j_max)
+    return Fraction(j_max - j_min + 1, _balanced_prod(starts) * (j_min - 1) * j_max)
 
 
 def _balanced_prod(factors: Iterable[int]) -> int:

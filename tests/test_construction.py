@@ -372,8 +372,6 @@ def test_level_size_limit_reports_exact_count(fam22):
         fam22.level_intervals(10, limit=100)
     assert info.value.count == 2**55  # product of 2^k for k <= 10
     assert info.value.limit == 100
-    with pytest.raises(SizeLimitError):
-        fam22.min_gap(10, limit=100)
 
 
 def brute_force_level(fam, n):
@@ -481,6 +479,17 @@ def test_gap_bound_is_below_every_gap(test_families):
     for fam in test_families:
         for n in range(1, 5):
             assert fam.min_gap(n) >= fam.level_quantities(n).gap_bound
+
+
+@pytest.mark.parametrize("family", [
+    SequenceFamily.geometric(3, 2),
+    SequenceFamily.power_geometric(4, F(1, 2)),
+])
+def test_closed_form_gap_dominates_the_gap_bound_past_enumeration(family):
+    # level 300 holds about 10^14000 intervals, so only a closed form
+    # reaches it
+    for n, quantities in enumerate(family.iter_level_quantities(300), start=1):
+        assert family.min_gap(n) >= quantities.gap_bound
 
 
 def test_gap_bound_strictly_decreases(test_families):
@@ -736,6 +745,7 @@ WINDOW_READERS = {
     "basic_interval": lambda f: f.basic_interval([5]),
     "sample_level": lambda f: f.sample_level(1, 3, random.Random(1)),
     "level_intervals": lambda f: f.level_intervals(1),
+    "min_gap": lambda f: f.min_gap(1),
 }
 
 

@@ -1,10 +1,12 @@
-"""The integer comparisons of interval endpoints against plain Fraction
-arithmetic: the gap scan _smallest_gap, the RatInterval order checks, the
-prefix recurrence behind reconstruct and the cylinders, the reduced
+"""The integer comparisons of interval endpoints, and the closed-form
+minimum gap, against plain Fraction arithmetic: min_gap against the
+smallest Fraction gap of an enumerated level, the RatInterval order checks,
+the prefix recurrence behind reconstruct and the cylinders, the reduced
 integer pairs of the level bounds, and the integer Engel orbit."""
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +17,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from engeldim import DomainError, SequenceFamily  # noqa: E402
-from engeldim.construction import _smallest_gap  # noqa: E402
 from engeldim.engel import (  # noqa: E402
     RatInterval,
     _prefix_endpoints,
@@ -40,72 +41,16 @@ def fraction_gaps(intervals):
     return [right.lo - left.hi for left, right in zip(intervals, intervals[1:])]
 
 
-@st.composite
-def interval_lists(draw, max_size=12):
-    """Intervals with non-negative lengths; degenerate ones are closed."""
-    out = []
-    for lo, length in draw(st.lists(st.tuples(fractions, fractions.map(abs)),
-                                    max_size=max_size)):
-        out.append(RatInterval(lo, lo + length, True, length == 0 or draw(st.booleans())))
-    return out
-
-
-@st.composite
-def evenly_spaced(draw):
-    """Intervals whose gaps all tie, at step - width, negative on overlap."""
-    start, step = draw(fractions), draw(fractions.map(abs))
-    width = draw(fractions.map(abs))
-    count = draw(st.integers(min_value=2, max_value=8))
-    return [RatInterval(start + k * step, start + k * step + width, True, True)
-            for k in range(count)]
-
-
-def ends(intervals):
-    """The (lo_num, lo_den, hi_num, hi_den) tuples that _smallest_gap scans."""
-    return ((iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)
-            for iv in intervals)
-
-
-def check_smallest_gap(intervals):
-    expected = min(fraction_gaps(intervals), default=None)
-    got = _smallest_gap(ends(intervals))
-    assert got == expected
-    if expected is not None:
-        # a Fraction equal to the expected one is reduced the same way, so
-        # it prints the same
-        assert type(got) is F
-
-
-@SEEDED
-@given(interval_lists())
-def test_smallest_gap_of_any_list_is_the_fraction_minimum(intervals):
-    check_smallest_gap(intervals)
-
-
-@SEEDED
-@given(interval_lists())
-def test_smallest_gap_of_a_sorted_list_is_the_fraction_minimum(intervals):
-    # sorted by left endpoint, as a level is; long intervals overlap the
-    # next one, so some gaps are negative
-    check_smallest_gap(sorted(intervals, key=lambda iv: iv.lo))
-
-
-@SEEDED
-@given(evenly_spaced())
-def test_smallest_gap_of_tied_gaps(intervals):
-    check_smallest_gap(intervals)
-    assert len(set(fraction_gaps(intervals))) == 1
-
-
-def test_smallest_gap_of_fewer_than_two_intervals_is_none():
-    assert _smallest_gap([]) is None
-    assert _smallest_gap(iter([])) is None
-    assert _smallest_gap(list(ends([RatInterval(F(1, 3), F(1, 2))]))) is None
-
-
-def test_smallest_gap_reads_an_iterator_once():
-    intervals = [RatInterval(F(k, 10), F(2 * k + 1, 20)) for k in range(5)]
-    assert _smallest_gap(ends(intervals)) == F(1, 20)
+def rational_table(seed):
+    """Six (s, t) pairs of small rationals that meet the window conditions,
+    with branch counts 2 or 3, enough for levels 0..5."""
+    rng = random.Random(seed)
+    pairs, s = [], F(rng.randint(12, 40), rng.randint(1, 3))
+    for _ in range(6):
+        t = 2 + F(rng.randint(0, 5), 6)
+        pairs.append((s, t))
+        s += t + F(rng.randint(0, 12), rng.randint(1, 4))
+    return pairs
 
 
 @pytest.mark.parametrize("family, depth", [
@@ -115,16 +60,20 @@ def test_smallest_gap_reads_an_iterator_once():
     (SequenceFamily.from_pairs([(7, 3), (12, 4), (20, 2), (25, 2), (31, 3),
                                 (40, 2), (47, 2)]), 6),
     (SequenceFamily.geometric(2, 1, t_coef=2), 0),
-])
+] + [(SequenceFamily.from_pairs(rational_table(seed)), depth)
+     for seed in range(4) for depth in range(1, 6)])
 def test_smallest_gap_of_a_level_is_the_fraction_minimum(family, depth):
-    # endpoints with large, nearly equal cross-products; min_gap scans the
-    # level's unreduced endpoint ints, check_smallest_gap the reduced
-    # endpoints of its intervals
-    intervals = family.level_intervals(depth)
-    check_smallest_gap(intervals)
-    assert family.min_gap(depth) == _smallest_gap(ends(intervals))
+    # min_gap is a closed form; the oracle enumerates the level and
+    # subtracts the Fraction endpoints of each consecutive pair
+    expected = min(fraction_gaps(family.level_intervals(depth)), default=None)
+    got = family.min_gap(depth)
+    assert got == expected
     if depth == 0:
-        assert family.min_gap(depth) is None
+        assert got is None
+    else:
+        # a Fraction equal to the expected one is reduced the same way, so
+        # it prints the same
+        assert type(got) is F
 
 
 @SEEDED
