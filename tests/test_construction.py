@@ -486,7 +486,7 @@ def test_gap_bound_is_below_every_gap(test_families):
     SequenceFamily.power_geometric(4, F(1, 2)),
 ])
 def test_closed_form_gap_dominates_the_gap_bound_past_enumeration(family):
-    # level 300 holds about 10^14000 intervals, so only a closed form
+    # level 300 holds over 10^13000 intervals, so only a closed form
     # reaches it
     for n, quantities in enumerate(family.iter_level_quantities(300), start=1):
         assert family.min_gap(n) >= quantities.gap_bound
