@@ -81,56 +81,18 @@ class ConditionReport(NamedTuple):
         return self.bounds_ok and self.growth_ok and self.divergence != DIVERGES_VIOLATED
 
 
-class _Prefix:
-    """The first n items of a list that is only ever appended to.
-
-    Each level of a sweep reads its window starts through one of these
-    from the one list the sweep appends to, so no level copies the starts
-    of the levels before it.  Compares, hashes and prints as the tuple of
-    its n items.
-    """
-
-    __slots__ = ("_items", "_n")
-
-    def __init__(self, items: list[int], n: int):
-        self._items, self._n = items, n
-
-    def __iter__(self) -> Iterator[int]:
-        return itertools.islice(self._items, self._n)
-
-    def __eq__(self, other):
-        if isinstance(other, _Prefix):
-            other = tuple(other)
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 class LevelQuantities(NamedTuple):
     """Exact bookkeeping for one level: the count N_n, the branch count m_n
-    of level n, and what both bounds and the longest length are built from
-    when read, so a reader of one level pays for that level's values only.
-
-    starts is a view of the list of window starts that the whole sweep
-    appends to, limited to levels 1..n; window_starts copies them out.
+    of level n, and what both bounds are built from, each bound built only
+    when read.  The longest length is SequenceFamily.max_length(n).
     """
 
     n: int
     count: int
     m_n: int  # the branch count of level n
     prod_s: int | Fraction  # s_1...s_n
-    starts: Iterable[int]  # the window starts j_min of levels 1..n
     s_n: int | Fraction
     next_level: tuple[int | Fraction, int | Fraction, int, int]  # level n+1 (s, t, lo, hi)
-
-    @property
-    def window_starts(self) -> tuple[int, ...]:
-        """The window starts j_min of levels 1..n."""
-        return tuple(self.starts)
 
     @property
     def diameter_bound(self) -> Fraction:
@@ -168,12 +130,6 @@ class LevelQuantities(NamedTuple):
             return 1, prod_s.numerator * (s_n.numerator << (self.n + 3))
         bound = Fraction(1, prod_s * (s_n * 2 ** (self.n + 3)))
         return bound.numerator, bound.denominator
-
-    @property
-    def max_length(self) -> Fraction:
-        """Longest level-n interval length, the all-minimal word's."""
-        _, _, j_min, j_max = self.next_level
-        return _longest_length(self.starts, j_min, j_max)
 
 
 class SequenceFamily(_Record):
@@ -434,7 +390,7 @@ class SequenceFamily(_Record):
         (j_min, j_max) the level-(n+1) window, this is
         [S + 1/(P*j_max), S + 1/(P*(j_min - 1))].
         """
-        w = word if isinstance(word, DigitWord) else DigitWord(word)
+        w = DigitWord(word)
         *windows, last = self._windows(len(w) + 1)
         for k, (digit, (lo, hi)) in enumerate(zip(w, windows), start=1):
             if not lo <= digit <= hi:
@@ -494,14 +450,28 @@ class SequenceFamily(_Record):
         """
         return self._level(n, None)[1]
 
+    def max_length(self, n: int) -> Fraction:
+        """Longest level-n interval length, the all-minimal word's, in
+        closed form, so no level is built.
+
+        1 at level 0, the one interval [0, 1].
+        """
+        if n < 0:
+            raise DomainError(f"level must be >= 0, got {n}")
+        if n == 0:
+            return Fraction(1)
+        *windows, (j_min, j_max) = self._windows(n + 1)
+        return _longest_length((lo for lo, _ in windows), j_min, j_max)
+
     # -- a priori bounds ---------------------------------------------------
 
     def iter_level_quantities(self, depth: int) -> Iterator[LevelQuantities]:
         """Yield the quantities of levels 1..depth in one incremental sweep.
 
-        Every level-n count, bound and longest length is read from this
-        walk.  Each sequence value is evaluated once, so this is the way to
-        tabulate deep runs; per-level calls would redo the prefix work.
+        Every level-n count and bound is read from this walk; the longest
+        length is max_length(n).  Each sequence value is evaluated once, so
+        this is the way to tabulate deep runs; per-level calls would redo
+        the prefix work.
         The conditions are verified in the same pass, so a lazy consumer
         can receive the first levels before a ConditionError from a deeper
         one.
@@ -509,16 +479,13 @@ class SequenceFamily(_Record):
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
         prod_s = count = 1
-        starts: list[int] = []  # one list, read by every level's record
-        # level n's intervals are built from window n + 1, so walk to it
+        # level n's bounds read window n + 1, so walk to it
         walk = itertools.pairwise(self.levels(depth + 1))
         for n, ((s_n, _, lo, hi), next_level) in enumerate(walk, 1):
             prod_s *= s_n
-            starts.append(lo)
             m = hi - lo + 1
             count *= m
-            yield LevelQuantities(n, count, m, prod_s, _Prefix(starts, n), s_n,
-                                  next_level)
+            yield LevelQuantities(n, count, m, prod_s, s_n, next_level)
 
     def level_quantities(self, n: int) -> LevelQuantities:
         """The quantities of one level: the last of iter_level_quantities(n)."""

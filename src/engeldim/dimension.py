@@ -18,10 +18,12 @@ natural base is used.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from math import log
 from typing import NamedTuple, Sequence
 
-from .construction import SequenceFamily, _balanced_prod
+from .construction import SequenceFamily, _balanced_prod, _longest_length
 from .errors import DomainError, SizeLimitError
 from .ratmath import log_rational
 
@@ -151,9 +153,13 @@ def empirical_cover_fit(f: SequenceFamily, depths: Sequence[int],
     The relation has no additive offset (one interval of unit diameter
     would contribute the origin), so the least-squares line is constrained
     through the origin and its slope is directly comparable to the
-    quotient sequences at the same depths.
+    quotient sequences at the same depths.  One walk of the levels gives
+    every count, and the longest length is formed at wanted depths only.
     """
-    depth_list = tuple(int(d) for d in depths)
+    try:
+        depth_list = tuple(map(operator.index, depths))
+    except TypeError as exc:
+        raise DomainError(f"depths must be integers: {exc}") from None
     if len(depth_list) < 2:
         raise DomainError("cover fit needs at least two depths")
     if any(d < 1 for d in depth_list):
@@ -164,16 +170,23 @@ def empirical_cover_fit(f: SequenceFamily, depths: Sequence[int],
     # at or past its level is the one refused, and the walk stops there
     wanted = set(depth_list)
     points: dict[int, tuple[float, float]] = {}
-    for lq in f.iter_level_quantities(max(depth_list)):
-        if limit is not None and lq.count > limit:
-            refused = min(d for d in wanted if d >= lq.n)
+    count = 1
+    starts: list[int] = []  # the window starts of levels 1..n
+    # level n's longest length reads window n + 1, so walk to it
+    walk = itertools.pairwise(f.levels(max(depth_list) + 1))
+    for n, ((_, _, lo, hi), (_, _, j_min, j_max)) in enumerate(walk, 1):
+        count *= hi - lo + 1
+        starts.append(lo)
+        if limit is not None and count > limit:
+            refused = min(d for d in wanted if d >= n)
             # its count from the windows of the walk that would reach it,
             # to level refused + 1, so an error up to there still comes first
             *windows, _ = f._windows(refused + 1)
             count = _balanced_prod(hi - lo + 1 for lo, hi in windows)
             raise SizeLimitError(count, limit, f"depth {refused}")
-        if lq.n in wanted:
-            points[lq.n] = (-log_rational(lq.max_length), log_rational(lq.count))
+        if n in wanted:
+            longest = _longest_length(starts, j_min, j_max)
+            points[n] = (-log_rational(longest), log_rational(count))
     xs = [points[d][0] for d in depth_list]
     ys = [points[d][1] for d in depth_list]
     # plain left-to-right sums: sum() of floats is compensated from

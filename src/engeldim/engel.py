@@ -40,11 +40,14 @@ def is_admissible(digits: Iterable[int]) -> bool:
 
 
 class DigitWord(tuple):
-    """Immutable admissible digit word; behaves as a tuple of ints."""
+    """Immutable admissible digit word; behaves as a tuple of ints.
+    Checked once, when made: DigitWord(w) of a DigitWord is w itself."""
 
     __slots__ = ()
 
     def __new__(cls, digits: Iterable[int]) -> "DigitWord":
+        if type(digits) is DigitWord:
+            return digits
         word = tuple(digits)
         if not is_admissible(word):
             raise InvalidWordError(f"inadmissible digit word {list(word)!r}")
@@ -260,8 +263,7 @@ def _prefix_interval(a: int, p: int, j_min: int, j_max: int,
 
 def reconstruct(word) -> Fraction:
     """Exact value of the finite Engel series with the given digits."""
-    w = word if isinstance(word, DigitWord) else DigitWord(word)
-    return Fraction(*_prefix_state(w))
+    return Fraction(*_prefix_state(DigitWord(word)))
 
 
 def cylinder_interval(word) -> RatInterval:
@@ -271,12 +273,12 @@ def cylinder_interval(word) -> RatInterval:
     of the word and B adds 1/(d_1...d_{n-1}(d_n - 1)) to the
     reconstruction of the parent word instead of the last term.
     """
-    w = word if isinstance(word, DigitWord) else DigitWord(word)
+    w = DigitWord(word)
     return _prefix_interval(*_prefix_state(w[:-1]), w[-1], w[-1], hi_closed=False)
 
 
 def cylinder_length(word) -> Fraction:
     """Exact length 1/(d_1...d_{n-1} * d_n * (d_n - 1)) of the cylinder."""
-    w = word if isinstance(word, DigitWord) else DigitWord(word)
+    w = DigitWord(word)
     _, p = _prefix_state(w)
     return Fraction(1, p * (w[-1] - 1))

@@ -333,9 +333,11 @@ def test_basic_interval_length_closed_form(test_families):
 
 def test_max_interval_length_matches_enumeration(test_families):
     for fam in test_families:
-        for n in range(1, 5):
+        for n in range(5):
             enumerated = max(iv.length for iv in fam.level_intervals(n))
-            assert fam.level_quantities(n).max_length == enumerated
+            assert fam.max_length(n) == enumerated
+    with pytest.raises(DomainError):
+        test_families[0].max_length(-1)
 
 
 # -- level sets -------------------------------------------------------------------
@@ -406,8 +408,7 @@ def test_level_intervals_equal_the_sorted_brute_force_level():
             assert intervals == brute_force_level(fam, n), (fam.description, n)
             longest = max(iv.length for iv in intervals)
             assert intervals[-1].length == longest
-            if n >= 1:
-                assert fam.level_quantities(n).max_length == longest
+            assert fam.max_length(n) == longest
 
 
 def test_level_intervals_leave_no_reference_cycle(fam21):
@@ -541,22 +542,12 @@ def test_iter_level_quantities_matches_single_level_calls(fam21):
         assert quantities == fam21.level_quantities(quantities.n)
 
 
-def test_records_held_from_one_sweep_keep_their_own_window_starts(fam42):
-    # every record of a sweep reads its starts from the one list the sweep
-    # appends to, so a record held while the sweep goes on must still see
-    # only the starts of its own levels
-    swept = list(fam42.iter_level_quantities(50))
-    for lq in swept:
-        windows = fam42._windows(lq.n + 1)
-        starts = tuple(lo for lo, _ in windows[:-1])
-        assert lq.window_starts == starts
-        j_min, j_max = windows[-1]
-        assert lq.max_length == F(j_max - j_min + 1,
-                                  math.prod(starts) * (j_min - 1) * j_max)
-        # as a record with its own tuple of starts: equal, with equal hash
-        # and text
-        own = lq._replace(starts=starts)
-        assert lq == own and hash(lq) == hash(own) and repr(lq) == repr(own)
+def test_max_length_is_the_product_of_the_window_starts(fam42):
+    for n in range(1, 51):
+        *windows, (j_min, j_max) = fam42._windows(n + 1)
+        starts = [lo for lo, _ in windows]
+        assert fam42.max_length(n) == F(j_max - j_min + 1,
+                                        math.prod(starts) * (j_min - 1) * j_max)
 
 
 def rational_table_family() -> SequenceFamily:
@@ -582,11 +573,26 @@ def test_level_sweep_matches_the_paper_formulas(test_families):
             corner = math.prod(floor(s(k)) + 1 for k in range(1, n + 1))
             j_min, j_max = floor(s(n + 1)) + 1, floor(s(n + 1) + t(n + 1))
             assert lq.count == count
-            assert lq.window_starts == tuple(floor(s(k)) + 1 for k in range(1, n + 1))
             assert lq.diameter_bound == 4 * t(n + 1) / (prod_s * s(n + 1) ** 2)
             assert lq.gap_bound == 1 / (2 ** (n + 3) * prod_s * s(n))
-            assert lq.max_length == (F(1, corner * (j_min - 1))
-                                     - F(1, corner * j_max))
+            assert fam.max_length(n) == (F(1, corner * (j_min - 1))
+                                         - F(1, corner * j_max))
+
+
+@pytest.mark.parametrize("family", [
+    SequenceFamily.geometric(3, 2),
+    SequenceFamily.power_geometric(4, F(1, 2)),
+])
+def test_max_length_is_the_corner_formula_past_enumeration(family):
+    # the paper's corner: the interval of the word of window starts, from
+    # s(k), t(k) and floor alone, to a level of over 10^13000 intervals
+    s, t = family.s, family.t
+    corner = 1
+    for n in range(1, 301):
+        corner *= floor(s(n)) + 1
+        j_min, j_max = floor(s(n + 1)) + 1, floor(s(n + 1) + t(n + 1))
+        assert family.max_length(n) == (F(1, corner * (j_min - 1))
+                                        - F(1, corner * j_max)), n
 
 
 def test_balanced_product_equals_the_sequential_product():
@@ -615,11 +621,25 @@ def test_a_single_level_read_builds_only_its_own_fractions(monkeypatch, fam42):
     assert quantities.diameter_bound > 0
     assert len(built) == 1
     built.clear()
-    assert quantities.max_length > 0
+    assert fam42.max_length(300) > 0
     assert len(built) == 1
     built.clear()
     empirical_cover_fit(fam42, [2, 40], limit=None)
     assert len(built) == 2
+
+
+def test_cover_fit_reads_no_level_sweep(monkeypatch, fam42):
+    # the fit walks the levels itself, so it never pays the sweep's
+    # running product s_1...s_n, which it does not read
+    expected = empirical_cover_fit(fam42, [2, 3, 40], limit=None)
+
+    def refuse(self, depth):
+        raise AssertionError("iter_level_quantities was called")
+
+    monkeypatch.setattr(SequenceFamily, "iter_level_quantities", refuse)
+    assert empirical_cover_fit(fam42, [2, 3, 40], limit=None) == expected
+    with pytest.raises(SizeLimitError):
+        empirical_cover_fit(fam42, [2, 40])
 
 
 # -- randomized table families -------------------------------------------------------
@@ -684,9 +704,9 @@ def counting_family():
 
 
 def read_level_6(family):
-    """One level's quantities, with both bounds and the longest length read."""
+    """One level's quantities, with both bounds read."""
     quantities = family.level_quantities(6)
-    return quantities.diameter_bound, quantities.gap_bound, quantities.max_length
+    return quantities.diameter_bound, quantities.gap_bound
 
 
 SINGLE_PASS_OPERATIONS = {
@@ -698,6 +718,7 @@ SINGLE_PASS_OPERATIONS = {
     "basic_interval": lambda f: f.basic_interval([5, 17, 65]),
     "level_intervals": lambda f: f.level_intervals(3),
     "min_gap": lambda f: f.min_gap(3),
+    "max_length": lambda f: f.max_length(6),
     "iter_level_quantities": lambda f: list(f.iter_level_quantities(6)),
     "level_quantities": read_level_6,
     "check_conditions": lambda f: f.check_conditions(6),
@@ -746,6 +767,7 @@ WINDOW_READERS = {
     "sample_level": lambda f: f.sample_level(1, 3, random.Random(1)),
     "level_intervals": lambda f: f.level_intervals(1),
     "min_gap": lambda f: f.min_gap(1),
+    "max_length": lambda f: f.max_length(1),
 }
 
 

@@ -326,6 +326,14 @@ def test_cover_fit_needs_two_depths(fam42):
         empirical_cover_fit(fam42, [0, 2])
 
 
+@pytest.mark.parametrize("depths", [[2.7, 3], ["2", "3"], [2, 3.0], [2, None]])
+def test_cover_fit_refuses_depths_that_are_not_integers(fam42, depths):
+    # int() would truncate 2.7 to 2 and parse "2", so the fit would run on
+    # depths nobody asked for
+    with pytest.raises(DomainError, match="depths must be integers"):
+        empirical_cover_fit(fam42, depths)
+
+
 def test_cover_fit_respects_the_level_limit(fam22):
     with pytest.raises(SizeLimitError) as info:
         empirical_cover_fit(fam22, [2, 6], limit=1000)

@@ -142,6 +142,15 @@ def test_digit_word_rejects_bad_input():
             DigitWord(bad)
 
 
+def test_a_digit_word_is_checked_once():
+    w = DigitWord([2, 5, 5])
+    assert DigitWord(w) is w
+    # a tuple or list is still checked, even one equal to a word
+    assert DigitWord((2, 5, 5)) == w and DigitWord((2, 5, 5)) is not w
+    with pytest.raises(InvalidWordError):
+        DigitWord([5, 2])
+
+
 # -- intervals --------------------------------------------------------------
 
 

@@ -48,11 +48,11 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert {"dataclasses", "inspect"} & set(loaded) == set()
 
 
-def module_private_names(tree: ast.Module) -> set[str]:
-    """The functions, classes and assigned names at module level whose
-    name has one leading underscore."""
+def private_names(body: list[ast.stmt]) -> set[str]:
+    """The functions, classes and assigned names of a module or class body
+    whose name has one leading underscore."""
     names = set()
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -65,16 +65,21 @@ def module_private_names(tree: ast.Module) -> set[str]:
 
 def test_every_private_module_name_is_used_in_the_package():
     # a private helper is reached only from inside the package, so one that
-    # nothing there reads is dead, e.g. one stranded by a deletion
+    # nothing there reads is dead, e.g. one stranded by a deletion.  That
+    # holds for the private methods and attributes of its classes too
     defined, used = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        defined.update(dict.fromkeys(module_private_names(tree), path.name))
+        bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)]
+        for body in bodies:
+            defined.update(dict.fromkeys(private_names(body), path.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert "_balanced_prod" in defined  # the scan sees the helpers
+    # the scan sees the module helpers and the private methods
+    assert {"_balanced_prod", "_windows", "_diameter_pair"} <= set(defined)
     assert {name: module for name, module in defined.items()
             if name not in used} == {}
