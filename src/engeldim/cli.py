@@ -55,7 +55,7 @@ from .errors import (
     SizeLimitError,
     UsageError,
 )
-from .ratmath import _fraction_str, parse_rational
+from .ratmath import parse_rational
 
 _OUTPUTS = ("text", "csv", "json")
 
@@ -590,11 +590,11 @@ def _run_level(cfg: argparse.Namespace) -> Report:
     # is built for it.  A level n >= 1 lies inside (0, 1/2], so every
     # reduced endpoint and length of it prints as "p/q".  Level 0 is the
     # one interval [0, 1], whose ends are the only whole numbers, printed
-    # as str(Fraction) does
+    # by str(Fraction)
     count, gap, max_length, ends = cfg.family._level(n, cfg.limit)
     whole, fractional = [], ends
     if n == 0:
-        whole = [(_fraction_str(a, b), _fraction_str(c, d)) for a, b, c, d in ends]
+        whole = [(str(Fraction(a, b)), str(Fraction(c, d))) for a, b, c, d in ends]
         fractional = ()
 
     def text() -> Iterator[str]:

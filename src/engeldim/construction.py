@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 from .engel import (
     DigitWord,
     RatInterval,
+    _intervals,
     _prefix_endpoints,
-    _prefix_interval,
     _prefix_state,
     _Record,
     _set,
@@ -346,6 +346,8 @@ class SequenceFamily(_Record):
 
     def word_count(self, n: int) -> int:
         """Exact number of level-n words: the product of the branch counts."""
+        if n < 0:
+            raise DomainError(f"level must be >= 0, got {n}")
         return _balanced_prod(hi - lo + 1 for lo, hi in self._windows(n))
 
     def iter_words(self, n: int) -> Iterator[DigitWord]:
@@ -376,9 +378,7 @@ class SequenceFamily(_Record):
         words = [
             tuple(rng.randint(lo, hi) for lo, hi in windows) for _ in range(count)
         ]
-        intervals = [
-            _prefix_interval(*_prefix_state(w), j_min, j_max) for w in words
-        ]
+        intervals = _intervals(_prefix_endpoints(map(_prefix_state, words), j_min, j_max))
         return _balanced_prod(hi - lo + 1 for lo, hi in windows), words, intervals
 
     # -- basic intervals -------------------------------------------------
@@ -397,7 +397,7 @@ class SequenceFamily(_Record):
                 raise InvalidWordError(
                     f"digit {digit} at position {k} outside window [{lo}, {hi}]"
                 )
-        return _prefix_interval(*_prefix_state(w), *last)
+        return _intervals(_prefix_endpoints([_prefix_state(w)], *last))[0]
 
     def level_intervals(self, n: int,
                         limit: int | None = DEFAULT_LEVEL_LIMIT) -> list[RatInterval]:
@@ -407,10 +407,7 @@ class SequenceFamily(_Record):
         the exact count attached, before anything is built when the level
         exceeds the limit.
         """
-        return [
-            RatInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den), True, True)
-            for lo_num, lo_den, hi_num, hi_den in self._level(n, limit)[3]
-        ]
+        return _intervals(self._level(n, limit)[3])
 
     def _level(self, n: int, limit: int | None
                ) -> tuple[int, Fraction | None, Fraction,
@@ -468,10 +465,10 @@ class SequenceFamily(_Record):
     def iter_level_quantities(self, depth: int) -> Iterator[LevelQuantities]:
         """Yield the quantities of levels 1..depth in one incremental sweep.
 
-        Every level-n count and bound is read from this walk; the longest
-        length is max_length(n).  Each sequence value is evaluated once, so
-        this is the way to tabulate deep runs; per-level calls would redo
-        the prefix work.
+        Each record's count and bounds come from this walk; the longest
+        length is max_length(n).  Each sequence value is evaluated once and
+        the products run from level to level, so this is the way to
+        tabulate deep runs; level_quantities(n) reads one level alone.
         The conditions are verified in the same pass, so a lazy consumer
         can receive the first levels before a ConditionError from a deeper
         one.
@@ -488,12 +485,16 @@ class SequenceFamily(_Record):
             yield LevelQuantities(n, count, m, prod_s, s_n, next_level)
 
     def level_quantities(self, n: int) -> LevelQuantities:
-        """The quantities of one level: the last of iter_level_quantities(n)."""
+        """The quantities of level n alone, equal to the n-th record of
+        iter_level_quantities, from one walk of levels 1..n+1: N_n and
+        s_1...s_n are each one balanced product, not a running one."""
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
-        for last in self.iter_level_quantities(n):
-            pass
-        return last
+        *walk, next_level = self.levels(n + 1)
+        s_n, _, lo, hi = walk[-1]
+        count = _balanced_prod(w_hi - w_lo + 1 for _, _, w_lo, w_hi in walk)
+        prod_s = _balanced_prod(s for s, _, _, _ in walk)
+        return LevelQuantities(n, count, hi - lo + 1, prod_s, s_n, next_level)
 
 
 def _level_states(windows: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
@@ -521,7 +522,7 @@ def _longest_length(starts: Iterable[int], j_min: int, j_max: int) -> Fraction:
     return Fraction(j_max - j_min + 1, _balanced_prod(starts) * (j_min - 1) * j_max)
 
 
-def _balanced_prod(factors: Iterable[int]) -> int:
+def _balanced_prod(factors: Iterable[int | Fraction]) -> int | Fraction:
     """Product of the factors, 1 for none, multiplied pairwise round by
     round: each big multiply then takes operands of like size, where a
     left-to-right product multiplies an ever longer int by a short one."""

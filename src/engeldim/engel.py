@@ -8,8 +8,8 @@ series reconstruction, and the interval geometry of digit prefixes can
 all be done exactly.  The orbit of x = n/q stays over the denominator q,
 so digit extraction steps the numerator alone, in plain int arithmetic;
 the endpoints of a prefix's interval come from one integer formula, whose
-order is checked once per window.  Nothing in this module touches
-floating point.
+order is checked once per window, and one builder makes intervals of
+them.  Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InternalError, InvalidWordError
-from .ratmath import _fraction_str, _to_rational
+from .ratmath import _to_rational
 
 
 def is_admissible(digits: Iterable[int]) -> bool:
@@ -245,20 +245,21 @@ def _prefix_endpoints(states: Iterable[tuple[int, int]], j_min: int, j_max: int
         first = next(ends, None)
         if first is not None:
             lo_num, lo_den, hi_num, hi_den = first
-            lo, hi = _fraction_str(lo_num, lo_den), _fraction_str(hi_num, hi_den)
+            lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
             raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
     return ends
 
 
-def _prefix_interval(a: int, p: int, j_min: int, j_max: int,
-                     hi_closed: bool = True) -> RatInterval:
-    # _prefix_endpoints as a RatInterval, closed on the left, without
+def _intervals(ends: Iterable[tuple[int, int, int, int]],
+               hi_closed: bool = True) -> list[RatInterval]:
+    # RatIntervals closed on the left from unreduced endpoint ints that
+    # _prefix_endpoints or a level builder has checked in order, without
     # RatInterval's own check, which for a deep word multiplies long ints:
-    # the endpoints are checked in order already, and only an empty window
-    # makes them equal, on a basic interval, which is closed
-    [(lo_num, lo_den, hi_num, hi_den)] = _prefix_endpoints([(a, p)], j_min, j_max)
-    return _fill(object.__new__(RatInterval), Fraction(lo_num, lo_den),
-                 Fraction(hi_num, hi_den), True, hi_closed)
+    # only an empty window makes the endpoints equal, on a basic interval,
+    # which is closed
+    return [_fill(object.__new__(RatInterval), Fraction(lo_num, lo_den),
+                  Fraction(hi_num, hi_den), True, hi_closed)
+            for lo_num, lo_den, hi_num, hi_den in ends]
 
 
 def reconstruct(word) -> Fraction:
@@ -274,7 +275,8 @@ def cylinder_interval(word) -> RatInterval:
     reconstruction of the parent word instead of the last term.
     """
     w = DigitWord(word)
-    return _prefix_interval(*_prefix_state(w[:-1]), w[-1], w[-1], hi_closed=False)
+    ends = _prefix_endpoints([_prefix_state(w[:-1])], w[-1], w[-1])
+    return _intervals(ends, hi_closed=False)[0]
 
 
 def cylinder_length(word) -> Fraction:

@@ -29,15 +29,6 @@ def _to_rational(value, label: str) -> Fraction:
         raise DomainError(f"{label} is not a rational: {value!r}") from exc
 
 
-def _fraction_str(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, without building the Fraction:
-    one gcd, then "p/q", or "p" when q is 1."""
-    g = math.gcd(num, den)
-    if g == den:
-        return str(num // g)
-    return f"{num // g}/{den // g}"
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", integer, or decimal text into an exact rational."""
     try:

@@ -692,7 +692,7 @@ def test_level_calls_no_helper_per_interval(output, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(construction, "_prefix_endpoints")
-    count(cli, "_fraction_str")
+    count(cli, "Fraction")
     count(cli, "_interval_str")
     cfg = parse_config(["level", "--family", "geometric", "--s", "4", "--t", "2",
                         "--depth", "4", "--output", output])

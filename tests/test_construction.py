@@ -229,6 +229,12 @@ def test_branch_and_word_counts(fam42):
     assert [fam42.level_quantities(n).m_n for n in (1, 2, 3)] == [2, 4, 8]
     assert fam42.word_count(3) == 64
     assert fam42.word_count(1) == 2
+    assert fam42.word_count(0) == 1
+
+
+def test_word_count_refuses_a_negative_level(fam42):
+    with pytest.raises(DomainError, match=r"^level must be >= 0, got -3$"):
+        fam42.word_count(-3)
 
 
 def test_count_identity_and_bounds(test_families):
@@ -424,6 +430,28 @@ def test_level_intervals_leave_no_reference_cycle(fam21):
         gc.enable()
 
 
+def test_interval_builders_skip_the_public_check(monkeypatch, fam42):
+    # the endpoint streams are checked in order once, so no builder runs
+    # the check of a public RatInterval(...) on each interval it makes
+    def refuse(self):
+        raise AssertionError("RatInterval.__post_init__ was called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RatInterval, "__post_init__", refuse)
+        built = [
+            *fam42.level_intervals(3),
+            *fam42.sample_level(3, 5, random.Random(3))[2],
+            fam42.basic_interval([5, 17, 65]),
+            cylinder_interval([5, 17, 65]),
+        ]
+    assert len(built) == 64 + 5 + 2
+    for iv in built:
+        assert iv == RatInterval(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
+    assert built[-1].hi_closed is False
+    with pytest.raises(DomainError):
+        RatInterval(F(1, 2), F(1, 3))
+
+
 def test_level_enumeration_memory_stays_small(fam21):
     # 8192 intervals hold about 3.1 MB and the build peaks near 3.6 MB;
     # holding the level-n prefix states as well peaks near 4.3 MB
@@ -536,10 +564,32 @@ def test_level_quantities_consistency(fam42):
 
 
 def test_iter_level_quantities_matches_single_level_calls(fam21):
-    swept = list(fam21.iter_level_quantities(6))
-    assert [q.n for q in swept] == list(range(1, 7))
-    for quantities in swept:
-        assert quantities == fam21.level_quantities(quantities.n)
+    # the sweep's running products against one level's balanced products,
+    # on integral terms, on rational terms and on a table's Fractions
+    rational = SequenceFamily.geometric(F(10, 3), F(7, 3), 3, 2)
+    table = SequenceFamily.from_pairs(random_valid_table(random.Random(23), 9))
+    for family, depth in ((fam21, 6), (rational, 40), (table, 8)):
+        swept = list(family.iter_level_quantities(depth))
+        assert [q.n for q in swept] == list(range(1, depth + 1))
+        for quantities in swept:
+            single = family.level_quantities(quantities.n)
+            assert single == quantities
+            assert type(single.prod_s) is type(quantities.prod_s)
+
+
+def test_level_quantities_reads_no_level_sweep(monkeypatch, fam42):
+    # one level is read from one walk, so it never pays the running
+    # product of the levels before it
+    rational = SequenceFamily.geometric(F(10, 3), F(7, 3), 3, 2)
+    expected = [(family, n, list(family.iter_level_quantities(n))[-1])
+                for family in (fam42, rational) for n in (1, 2, 7, 60)]
+
+    def refuse(self, depth):
+        raise AssertionError("iter_level_quantities was called")
+
+    monkeypatch.setattr(SequenceFamily, "iter_level_quantities", refuse)
+    for family, n, quantities in expected:
+        assert family.level_quantities(n) == quantities
 
 
 def test_max_length_is_the_product_of_the_window_starts(fam42):

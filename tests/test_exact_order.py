@@ -19,15 +19,14 @@ from hypothesis import strategies as st  # noqa: E402
 from engeldim import DomainError, SequenceFamily  # noqa: E402
 from engeldim.engel import (  # noqa: E402
     RatInterval,
+    _intervals,
     _prefix_endpoints,
-    _prefix_interval,
     _prefix_state,
     cylinder_interval,
     cylinder_length,
     engel_digits,
     reconstruct,
 )
-from engeldim.ratmath import _fraction_str  # noqa: E402
 
 # fixed examples, no example database: the suite stays deterministic
 SEEDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -74,17 +73,6 @@ def test_smallest_gap_of_a_level_is_the_fraction_minimum(family, depth):
         # a Fraction equal to the expected one is reduced the same way, so
         # it prints the same
         assert type(got) is F
-
-
-@SEEDED
-@given(st.integers(min_value=-10**30, max_value=10**30),
-       st.integers(min_value=1, max_value=10**30),
-       st.integers(min_value=1, max_value=10**6))
-def test_fraction_str_is_str_of_the_fraction(num, den, factor):
-    # unreduced pairs: a common factor, and den == factor makes q == 1
-    for p, q in ((num, den), (num * factor, den * factor),
-                 (num * factor, factor), (0, den)):
-        assert _fraction_str(p, q) == str(F(p, q))
 
 
 @SEEDED
@@ -155,11 +143,11 @@ def test_prefix_endpoints_check_their_order_as_an_interval_does(a, p, j_min, j_m
 
 
 def check_prefix_interval(a, p, j_min, j_max, hi_closed):
-    # _prefix_interval skips RatInterval's order check, so it must build
-    # what the checked public constructor builds from the same endpoints
+    # _intervals skips RatInterval's order check, so it must build what
+    # the checked public constructor builds from the same endpoints
     [(lo_num, lo_den, hi_num, hi_den)] = _prefix_endpoints([(a, p)], j_min, j_max)
     public = RatInterval(F(lo_num, lo_den), F(hi_num, hi_den), True, hi_closed)
-    interval = _prefix_interval(a, p, j_min, j_max, hi_closed)
+    [interval] = _intervals(_prefix_endpoints([(a, p)], j_min, j_max), hi_closed)
     assert interval == public
     assert type(interval.lo) is F and type(interval.hi) is F
 
@@ -179,7 +167,8 @@ def test_prefix_interval_of_a_deep_word_is_the_checked_interval():
     word = [hi for _, hi in windows]  # 300 digits
     check_prefix_interval(*_prefix_state(word), j_min, j_max, True)
     check_prefix_interval(*_prefix_state(word[:-1]), word[-1], word[-1], False)
-    assert fam.basic_interval(word) == _prefix_interval(*_prefix_state(word), j_min, j_max)
+    [interval] = _intervals(_prefix_endpoints([_prefix_state(word)], j_min, j_max))
+    assert fam.basic_interval(word) == interval
     # the public constructor keeps its check
     with pytest.raises(DomainError):
         RatInterval(F(1, 2), F(1, 3))

@@ -83,3 +83,37 @@ def test_every_private_module_name_is_used_in_the_package():
     assert {"_balanced_prod", "_windows", "_diameter_pair"} <= set(defined)
     assert {name: module for name, module in defined.items()
             if name not in used} == {}
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """The names a module's __all__ lists, none when it has no __all__."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # an import its module never reads is stranded, e.g. by the deletion
+    # of the helper it named.  A re-export counts as read when __all__
+    # lists it
+    stranded, scanned = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.asname or alias.name.partition(".")[0]
+                                for alias in node.names)
+        read = exported_names(tree) | {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        scanned += len(imported)
+        stranded += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    # the scan sees the package's imports, the re-exports among them
+    assert scanned > 50
+    assert stranded == []
