@@ -24,8 +24,13 @@ reduced by one gcd, and each text line is one f-string.
 A command is one row of _COMMANDS, which names its flags and its runner.
 The runner returns a Report, one row source per format, and one writer per
 format writes the chosen source to stdout row by row, so memory does not
-grow with the size of the output.  A command finishes every step that can
-fail before its first row is written: when it fails, nothing reaches stdout.
+grow with the size of the output.  JSON is written by the package itself,
+byte for byte as json.dumps(doc, indent=2): the long lists of a document
+are row streams whose cells are number text, which holds nothing json
+escapes, so each cell is quoted as it is instead of passing through json's
+escape scan, which costs as much as rendering its digits.  A command
+finishes every step that can fail before its first row is written: when it
+fails, nothing reaches stdout.
 Exit codes: 0 success, 1 usage problem, 2 violated window conditions.
 """
 
@@ -39,10 +44,11 @@ import json
 import os
 import random
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, TextIO
 
 from .construction import DEFAULT_LEVEL_LIMIT, LevelQuantities, SequenceFamily
 from .dimension import DEFAULT_FIT_LIMIT, empirical_cover_fit, estimate_dimension
@@ -350,7 +356,10 @@ def _exact_rows(
     family: SequenceFamily, depth: int, columns: Callable[[LevelQuantities], dict]
 ) -> Iterator[dict]:
     """One flat row per level to depth: n, the command's own columns for
-    the level, then its exact N_n, delta_n and epsilon_n cells."""
+    the level, then its exact N_n, delta_n and epsilon_n cells.
+
+    The rows are a json row stream (see _write_rows): every str in them,
+    the command's own columns included, must be number text."""
     count, delta, gap = _decimal_column(), _fraction_column(), _fraction_column()
     for lq in family.iter_level_quantities(depth):
         yield {"n": lq.n, **columns(lq), "N_n": count(lq.count),
@@ -369,7 +378,8 @@ class Report(NamedTuple):
 
     Only the chosen format's source is called, so the others are never
     built.  text yields lines, csv yields rows of cells with the header
-    first, and json returns the document, whose long lists are _Streams.
+    first, and json returns the document, whose long lists are iterators
+    of rows that _write_json draws as it writes them.
     """
 
     code: int
@@ -388,33 +398,56 @@ def _write_csv(rows: Iterable[Sequence[str]], out: TextIO) -> None:
         out.write(",".join(row) + "\n")
 
 
-class _Stream(list):
-    """A list that json's encoder reads as it goes: items are drawn from an
-    iterator only as they are encoded.  The encoder asks a list whether it
-    is empty before iterating it, so the first item is drawn up front."""
-
-    def __init__(self, items: Iterable):
-        self._items = iter(items)
-        self._head = list(itertools.islice(self._items, 1))
-
-    def __bool__(self) -> bool:
-        return bool(self._head)
-
-    def __iter__(self) -> Iterator:
-        return itertools.chain(self._head, self._items)
-
-
 def _write_json(doc: dict, out: TextIO) -> None:
-    # the encoder's pieces join to json.dumps(doc, indent=2), so writing
-    # them as they come gives the same bytes.  They go out 64 at a time, a
-    # few rows, as one write per piece costs more than encoding it
-    pieces = _JSON_ENCODER.iterencode(doc)
-    while text := "".join(itertools.islice(pieces, 64)):
-        out.write(text)
-    out.write("\n")
+    """Write json.dumps(doc, indent=2) and a newline to out, for a doc
+    with at least one key.
+
+    A value of doc that is an iterator is a row stream, written row by row
+    as it is drawn; any other value is written by json.dumps.  The first
+    row of every stream is drawn before anything is written, so a command
+    whose rows fail from the start writes nothing."""
+    fields = [(json.dumps(key), _json_field(value)) for key, value in doc.items()]
+    out.write("{")
+    for index, (key, value) in enumerate(fields):
+        out.write(f"{',' if index else ''}\n  {key}: ")
+        if isinstance(value, str):
+            out.write(value)
+        else:
+            _write_rows(value, out)
+    out.write("\n}\n")
 
 
-_JSON_ENCODER = json.JSONEncoder(indent=2)
+def _json_field(value) -> str | Iterator[dict]:
+    # a top-level value as its text, indented to its depth, or a row
+    # stream with its first row drawn.  json.dumps escapes every newline
+    # in a string, so each line break of its text is one between two
+    # lines of the value
+    if not isinstance(value, Iterator):
+        return json.dumps(value, indent=2).replace("\n", "\n  ")
+    first = list(itertools.islice(value, 1))
+    return itertools.chain(first, value) if first else "[]"
+
+
+def _write_rows(rows: Iterator[dict], out: TextIO) -> None:
+    # a non-empty stream of non-empty flat rows whose values are ints,
+    # None, bools and number text: a str made by str(), repr() or an
+    # f-string of an int, a Fraction, a Decimal or a float.  Number text
+    # holds no character that json escapes, so it is quoted as it is, and
+    # each key is escaped once per stream
+    keys: dict[str, str] = {}
+    separator = "["
+    for row in rows:
+        cells = []
+        for key, value in row.items():
+            if key not in keys:
+                keys[key] = f"\n      {json.dumps(key)}: "
+            cells.append(keys[key] + (f'"{value}"' if isinstance(value, str)
+                                      else json.dumps(value)))
+        out.write(f"{separator}\n    {{{','.join(cells)}\n    }}")
+        separator = ","
+    out.write("\n  ]")
+
+
 _WRITERS = {"text": _write_text, "csv": _write_csv, "json": _write_json}
 
 
@@ -430,8 +463,9 @@ def _csv_of(rows: Iterable[dict]) -> Iterator[list[str]]:
         ]
 
 
-def _endpoints(texts: Iterable[tuple[str, str]]) -> _Stream:
-    return _Stream({"lo": lo, "hi": hi} for lo, hi in texts)
+def _endpoints(texts: Iterable[tuple[str, str]]) -> Iterator[dict]:
+    # a json row stream: each text is an endpoint's number text
+    return ({"lo": lo, "hi": hi} for lo, hi in texts)
 
 
 def _lowest_terms(ends: Iterable[tuple[int, int, int, int]]
@@ -655,7 +689,7 @@ def _run_quantities(cfg: argparse.Namespace) -> Report:
         cfg,
         text=text,
         csv=lambda: _csv_of(levels()),
-        json=lambda: {"depth": cfg.depth, "levels": _Stream(levels())},
+        json=lambda: {"depth": cfg.depth, "levels": levels()},
     )
 
 
@@ -699,7 +733,7 @@ def _run_dim(cfg: argparse.Namespace) -> Report:
             "tail_min_formula": _fmt_quot(report.tail_min_formula),
             "monotone_tail": report.monotone_tail,
             "caveat": report.caveat,
-            "levels": _Stream(_exact_rows(cfg.family, cfg.n_max, quotients)),
+            "levels": _exact_rows(cfg.family, cfg.n_max, quotients),
         },
     )
 

@@ -1,13 +1,22 @@
 """The exact N_n, delta_n and epsilon_n cells, rendered through chains of
-exact Decimals, against str()."""
+exact Decimals, against str(); and the JSON writer, against json.dumps,
+with the rule it relies on: every str cell of a row stream is number text.
+"""
 
 import decimal
+import io
+import json
+import json.encoder
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from engeldim import SequenceFamily, cli, construction
+from engeldim import DomainError, SequenceFamily, cli, construction
+from engeldim.cli import main
 
 BIG = 3**130_000  # 206,046 bits
 
@@ -124,3 +133,161 @@ def test_exact_rows_build_no_fraction(monkeypatch):
     rows = list(cli._exact_rows(fam, 60, lambda lq: {}))
     assert [row["n"] for row in rows] == list(range(1, 61))
     assert built == []
+
+
+# -- the JSON writer ---------------------------------------------------------
+
+# fixed examples, no example database: the suite stays deterministic
+SEEDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# text json must escape: quotes, backslashes, control and non-ASCII characters
+texts = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600'),
+                          st.characters()), max_size=6)
+heads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | texts,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=8,
+)
+number_texts = st.one_of(
+    st.integers().map(str),
+    st.fractions().map(str),
+    st.decimals().map(str),
+    st.floats().map(repr),
+)
+rows = st.dictionaries(texts, number_texts | st.integers() | st.none() | st.booleans(),
+                       min_size=1, max_size=4)
+# each field of a document: (False, a head value) or (True, a stream's rows)
+fields = (st.tuples(st.just(False), heads)
+          | st.tuples(st.just(True), st.lists(rows, max_size=4)))
+
+
+@SEEDED
+@given(st.dictionaries(texts, fields, min_size=1, max_size=5))
+@example({"levels": (True, [])})  # an empty stream is an empty list
+def test_write_json_is_json_dumps(doc):
+    out = io.StringIO()
+    cli._write_json({key: iter(value) if streamed else value
+                     for key, (streamed, value) in doc.items()}, out)
+    materialized = {key: value for key, (_, value) in doc.items()}
+    assert out.getvalue() == json.dumps(materialized, indent=2) + "\n"
+
+
+JSON_FAMILIES = {
+    "integral": ["--family", "geometric", "--s", "4", "--t", "2"],
+    "rational": ["--family", "geometric", "--s", "10/3", "--t", "7/3",
+                 "--s-coef", "3", "--t-coef", "2"],
+    "power-geometric": ["--family", "power-geometric", "--s", "4", "--theta", "1/2"],
+    "table": ["--family", "explicit-pair",
+              "--pairs", "7:3,12:4,20:2,25:2,31:3,40:2,47:2"],
+}
+# every command that writes a row stream as JSON: its name, then its flags
+JSON_STREAMS = {
+    "quantities": ["quantities", "--depth", "5"],
+    "dim": ["dim", "--n-max", "5"],
+    "level": ["level", "--depth", "3"],
+    "level zero": ["level", "--depth", "0"],
+    "level --sample": ["level", "--depth", "4", "--sample", "6", "--seed", "3"],
+}
+JSON_RUNS = {
+    f"{command}, {family}": [
+        JSON_STREAMS[command][0], *JSON_FAMILIES[family],
+        *JSON_STREAMS[command][1:], "--output", "json",
+    ]
+    for command in JSON_STREAMS for family in JSON_FAMILIES
+}
+
+
+def is_number_text(text: str) -> bool:
+    """Whether text is str() of an int, a Fraction or a Decimal, or
+    repr() of a float."""
+    for parse, show in ((F, str), (Decimal, str), (float, repr)):
+        try:
+            if show(parse(text)) == text:
+                return True
+        except (ValueError, ArithmeticError):
+            pass
+    return False
+
+
+@pytest.mark.parametrize("number", [
+    "0", "-12", "3/7", "-5/2", "1.5", "Infinity", "NaN", "-0", "1E+2",
+    "1e-07", "inf", "nan", "0.6897279940277872",
+])
+def test_number_text_is_recognized(number):
+    assert is_number_text(number)
+
+
+@pytest.mark.parametrize("text", ["", "1 ", "+1", "3/6", "1/0", "0x10", '"1"', "1\\2"])
+def test_other_text_is_not_number_text(text):
+    assert not is_number_text(text)
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS.values(), ids=JSON_RUNS)
+def test_streamed_cells_are_number_text(argv, monkeypatch, capsys):
+    streamed, write_rows = [], cli._write_rows
+
+    def recording(rows, out):
+        rows = list(rows)
+        streamed.extend(rows)
+        write_rows(iter(rows), out)
+
+    monkeypatch.setattr(cli, "_write_rows", recording)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert streamed
+    cells = [value for row in streamed for value in row.values()]
+    assert {type(value) for value in cells} <= {str, int, bool, type(None)}
+    assert [text for text in cells
+            if isinstance(text, str) and not is_number_text(text)] == []
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class _Cell(str):
+    """A streamed cell, told apart from the document's other text by its type."""
+
+
+def _marked(source):
+    # the row source, with each str cell of its rows made a _Cell
+    def marked(*args):
+        for row in source(*args):
+            yield {key: _Cell(value) if isinstance(value, str) else value
+                   for key, value in row.items()}
+
+    return marked
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS.values(), ids=JSON_RUNS)
+def test_streamed_cells_skip_the_escape_scan(argv, monkeypatch, capsys):
+    escaped, escape = [], json.encoder.encode_basestring_ascii
+
+    def recording(text):
+        escaped.append(text)
+        return escape(text)
+
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", recording)
+    monkeypatch.setattr(cli, "_exact_rows", _marked(cli._exact_rows))
+    monkeypatch.setattr(cli, "_endpoints", _marked(cli._endpoints))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)
+    # the keys and the head are still escaped; no streamed cell is
+    assert escaped
+    assert [text for text in escaped if type(text) is _Cell] == []
+
+
+def _fails_at_once(*args):
+    raise DomainError("no rows")
+    yield
+
+
+@pytest.mark.parametrize("source, argv", [
+    ("_exact_rows", JSON_RUNS["quantities, integral"]),
+    ("_exact_rows", JSON_RUNS["dim, rational"]),
+    ("_lowest_terms", JSON_RUNS["level, table"]),
+])
+def test_a_stream_that_fails_on_its_first_row_writes_nothing(
+        source, argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, source, _fails_at_once)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: no rows\n")
