@@ -303,11 +303,11 @@ def _decimal_column() -> Callable[[int], str]:
     CPython 3.11 converts an int to decimal in time quadratic in its
     length, and the exact N_n, delta_n and epsilon_n columns reach tens of
     thousands of digits.  Each of their cells is, as a rule, an exact
-    multiple or divisor of the cell above it.  So the function keeps the
-    previous value and its exact Decimal, and derives the next Decimal by
-    one multiplication or division by the ratio of the two, in time linear
-    in the cell's length.  Only where that chain breaks is a value
-    converted in full.
+    multiple of the cell above it.  So the function keeps the previous
+    value and its exact Decimal, and derives the next Decimal by one
+    multiplication by the ratio of the two, in time linear in the cell's
+    length.  Only where that chain breaks, as at a table's few-bit delta_n
+    numerators, the only cells that shrink, is a value converted in full.
     """
     # a private context with every digit kept: a step that would round
     # raises instead, and the thread's own context is never touched
@@ -321,20 +321,10 @@ def _decimal_column() -> Callable[[int], str]:
 
     def render(x: int) -> str:
         nonlocal prev, prev_dec
-        dec = None
-        if x and prev:
-            # one long division finds the ratio and tells whether it is exact
-            ratio, rest = divmod(x, prev)
-            if not rest:
-                dec = ctx.multiply(prev_dec, ratio)
-            else:
-                ratio, rest = divmod(prev, x)
-                if not rest:
-                    dec = ctx.divide_int(prev_dec, ratio)
-        if dec is None:
-            dec = Decimal(x)
-        prev, prev_dec = x, dec
-        return str(dec)
+        # one long division: the ratio, and whether it is exact (no zero is)
+        ratio, rest = divmod(x, prev) if x and prev else (0, 1)
+        prev, prev_dec = x, Decimal(x) if rest else ctx.multiply(prev_dec, ratio)
+        return str(prev_dec)
 
     return render
 
@@ -625,17 +615,17 @@ def _run_level(cfg: argparse.Namespace) -> Report:
     # reduced endpoint and length of it prints as "p/q".  Level 0 is the
     # one interval [0, 1], whose ends are the only whole numbers, printed
     # by str(Fraction)
-    count, gap, max_length, ends = cfg.family._level(n, cfg.limit)
-    whole, fractional = [], ends
+    level = cfg.family._level(n, cfg.limit)
+    whole, fractional = [], level.ends
     if n == 0:
-        whole = [(str(Fraction(a, b)), str(Fraction(c, d))) for a, b, c, d in ends]
+        whole = [(str(Fraction(a, b)), str(Fraction(c, d))) for a, b, c, d in fractional]
         fractional = ()
 
     def text() -> Iterator[str]:
         yield f"level: {n}"
-        yield f"count: {count}"
-        yield f"min gap: {'none' if gap is None else gap}"
-        yield f"max length: {max_length}"
+        yield f"count: {level.count}"
+        yield f"min gap: {'none' if level.gap is None else level.gap}"
+        yield f"max length: {level.longest}"
         yield "intervals:"
         for lo, hi in whole:
             yield f"  {_interval_str(lo, hi)}"
@@ -645,7 +635,7 @@ def _run_level(cfg: argparse.Namespace) -> Report:
     def csv() -> Iterator[list[str]]:
         yield ["index", "lo", "hi", "length"]
         for lo, hi in whole:
-            yield ["1", lo, hi, str(max_length)]
+            yield ["1", lo, hi, str(level.longest)]
         for idx, (a, b, c, d) in enumerate(_lowest_terms(fractional), start=1):
             num, den = c * b - a * d, b * d
             g = gcd(num, den)
@@ -657,9 +647,9 @@ def _run_level(cfg: argparse.Namespace) -> Report:
         csv=csv,
         json=lambda: {
             "n": n,
-            "count": count,
-            "min_gap": None if gap is None else str(gap),
-            "max_length": str(max_length),
+            "count": level.count,
+            "min_gap": None if level.gap is None else str(level.gap),
+            "max_length": str(level.longest),
             "intervals": _endpoints(itertools.chain(
                 whole,
                 ((f"{a}/{b}", f"{c}/{d}") for a, b, c, d in _lowest_terms(fractional)),

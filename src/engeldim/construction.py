@@ -12,15 +12,16 @@ Everything here is exact: windows come from rational floors, endpoints and
 the two a priori bounds (the diameter bound delta_n that dominates every
 basic-interval length, and the gap bound epsilon_n that every gap between
 intervals of the same level dominates) are plain Fractions, each formed
-from its reduced integer pair.  One builder reads a level's windows once
-and gives its count, its minimum gap in closed form, its longest length,
-and its basic intervals as a lazy stream of unreduced endpoint ints: the
-endpoint formula of engel, with its window-order check, is applied once to
-the whole level, and no state of the level is built before it is drawn.
+from its reduced integer pair.  One builder reads a level's windows once,
+and forms its count, its minimum gap in closed form, its longest length
+and its basic intervals, a lazy stream of unreduced endpoint ints, only
+when read: the endpoint formula of engel, with its window-order check, is
+applied once to the whole level, and no state of it is built before drawn.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import floor, gcd
@@ -407,36 +408,17 @@ class SequenceFamily(_Record):
         the exact count attached, before anything is built when the level
         exceeds the limit.
         """
-        return _intervals(self._level(n, limit)[3])
+        return _intervals(self._level(n, limit).ends)
 
-    def _level(self, n: int, limit: int | None
-               ) -> tuple[int, Fraction | None, Fraction,
-                          Iterator[tuple[int, int, int, int]]]:
-        # the level builder: from one list of the windows of levels 1..n+1,
-        # level n's count, min gap and longest length, and its basic
-        # intervals as a lazy stream of the unreduced ints (lo_num, lo_den,
-        # hi_num, hi_den) of _prefix_endpoints, sorted by left endpoint.
-        # The size limit and the window order are checked before the stream
-        # is returned.  Reducing the ints here would cost level_intervals
-        # each gcd twice, as Fraction takes its own.
-        #
-        # With window n = [lo, hi], window n+1 = [j_min, J], K = j_min - 1
-        # and P = hi_1...hi_{n-1}, the min gap is the level's first gap,
-        # (J*(K+1) - hi*(J-K)) / (J*K*hi*(hi-1)*P), as README proves.
+    def _level(self, n: int, limit: int | None) -> _Level:
+        # the one builder of a single level, from one list of the windows
+        # of levels 1..n+1; the size limit is checked before it is returned
         if n < 0:
             raise DomainError(f"level must be >= 0, got {n}")
-        if n == 0:
-            return 1, None, Fraction(1), iter([(0, 1, 1, 1)])
-        *windows, (j_min, j_max) = self._windows(n + 1)
-        count = _balanced_prod(hi - lo + 1 for lo, hi in windows)
-        if limit is not None and count > limit:
-            raise SizeLimitError(count, limit, f"level {n}")
-        *head, (_, hi) = windows
-        k = j_min - 1
-        gap = Fraction(j_max * (k + 1) - hi * (j_max - k),
-                       j_max * k * hi * (hi - 1) * _balanced_prod(h for _, h in head))
-        longest = _longest_length((lo for lo, _ in windows), j_min, j_max)
-        return count, gap, longest, _prefix_endpoints(_level_states(windows), j_min, j_max)
+        level = _Level(self._windows(n + 1) if n else [])
+        if n and limit is not None and level.count > limit:
+            raise SizeLimitError(level.count, limit, f"level {n}")
+        return level
 
     def min_gap(self, n: int) -> Fraction | None:
         """Smallest distance between consecutive level-n intervals, in
@@ -445,7 +427,7 @@ class SequenceFamily(_Record):
         None only at level 0, the one interval [0, 1]: every window holds
         at least 2 digits, so every later level has two intervals.
         """
-        return self._level(n, None)[1]
+        return self._level(n, None).gap
 
     def max_length(self, n: int) -> Fraction:
         """Longest level-n interval length, the all-minimal word's, in
@@ -453,12 +435,7 @@ class SequenceFamily(_Record):
 
         1 at level 0, the one interval [0, 1].
         """
-        if n < 0:
-            raise DomainError(f"level must be >= 0, got {n}")
-        if n == 0:
-            return Fraction(1)
-        *windows, (j_min, j_max) = self._windows(n + 1)
-        return _longest_length((lo for lo, _ in windows), j_min, j_max)
+        return self._level(n, None).longest
 
     # -- a priori bounds ---------------------------------------------------
 
@@ -495,6 +472,40 @@ class SequenceFamily(_Record):
         count = _balanced_prod(w_hi - w_lo + 1 for _, _, w_lo, w_hi in walk)
         prod_s = _balanced_prod(s for s, _, _, _ in walk)
         return LevelQuantities(n, count, hi - lo + 1, prod_s, s_n, next_level)
+
+
+class _Level:
+    """Level n of a family, from the windows of levels 1..n+1.  count, gap
+    (the minimum gap), longest (the longest length) and ends (the basic
+    intervals as a lazy stream) are each formed once, when first read."""
+
+    def __init__(self, windows: list[tuple[int, int]]):
+        self.windows = windows
+        if not windows:  # level 0, [0, 1], is given; its count is the empty product
+            self.gap, self.longest, self.ends = None, Fraction(1), iter([(0, 1, 1, 1)])
+
+    @functools.cached_property
+    def count(self) -> int:
+        return _balanced_prod(hi - lo + 1 for lo, hi in self.windows[:-1])
+
+    @functools.cached_property
+    def gap(self) -> Fraction | None:
+        # window n = [lo, hi], window n+1 = [j_min, J], K = j_min - 1 and
+        # P = hi_1...hi_{n-1}: the min gap is the level's first gap,
+        # (J*(K+1) - hi*(J-K)) / (J*K*hi*(hi-1)*P), as README proves
+        *head, (_, hi), (j_min, j_max) = self.windows
+        k = j_min - 1
+        return Fraction(j_max * (k + 1) - hi * (j_max - k),
+                        j_max * k * hi * (hi - 1) * _balanced_prod(h for _, h in head))
+
+    @functools.cached_property
+    def longest(self) -> Fraction:
+        return _longest_length((lo for lo, _ in self.windows[:-1]), *self.windows[-1])
+
+    @functools.cached_property
+    def ends(self) -> Iterator[tuple[int, int, int, int]]:
+        # sorted by left endpoint and unreduced: each reader reduces them once
+        return _prefix_endpoints(_level_states(self.windows[:-1]), *self.windows[-1])
 
 
 def _level_states(windows: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:

@@ -23,7 +23,7 @@ import operator
 from math import log
 from typing import NamedTuple, Sequence
 
-from .construction import SequenceFamily, _balanced_prod, _longest_length
+from .construction import SequenceFamily, _longest_length
 from .errors import DomainError, SizeLimitError
 from .ratmath import log_rational
 
@@ -179,11 +179,9 @@ def empirical_cover_fit(f: SequenceFamily, depths: Sequence[int],
         starts.append(lo)
         if limit is not None and count > limit:
             refused = min(d for d in wanted if d >= n)
-            # its count from the windows of the walk that would reach it,
-            # to level refused + 1, so an error up to there still comes first
-            *windows, _ = f._windows(refused + 1)
-            count = _balanced_prod(hi - lo + 1 for lo, hi in windows)
-            raise SizeLimitError(count, limit, f"depth {refused}")
+            # its count from the level builder, whose walk to level
+            # refused + 1 raises any error up to there first
+            raise SizeLimitError(f._level(refused, None).count, limit, f"depth {refused}")
         if n in wanted:
             longest = _longest_length(starts, j_min, j_max)
             points[n] = (-log_rational(longest), log_rational(count))

@@ -619,6 +619,21 @@ def test_level_renders_from_endpoint_ints(output):
     assert peak < 1_200_000
 
 
+def test_level_csv_forms_neither_the_min_gap_nor_the_longest_length(monkeypatch):
+    # csv prints the intervals alone, so the header values stay unformed
+    cfg = parse_config(["level", "--family", "geometric", "--s", "4", "--t", "2",
+                        "--depth", "4", "--output", "csv"])
+
+    def refuse(*args):
+        raise AssertionError("a value the csv does not print was formed")
+
+    monkeypatch.setattr(construction, "_longest_length", refuse)
+    monkeypatch.setattr(construction, "Fraction", refuse)
+    out = io.StringIO()
+    assert run(cfg, out) == 0
+    assert out.getvalue().count("\n") == 1 + 1024
+
+
 def random_table(rng):
     """Five (s, t) pairs of small rationals that meet the window conditions,
     enough for levels 0..4."""

@@ -102,7 +102,8 @@ def test_full_conversions_happen_only_where_the_chain_breaks(monkeypatch):
     render = cli._decimal_column()
     values = [3**500, 3**900, 3**700, 5**400, 5**600, 5**600, 2 * 5**600, 7**300, 1]
     assert [render(x) for x in values] == [str(x) for x in values]
-    assert converted == [3**500, 5**400, 7**300]
+    # a value that is no multiple of the one above breaks the chain
+    assert converted == [3**500, 3**700, 5**400, 7**300, 1]
 
 
 def test_integer_families_convert_only_their_first_level(monkeypatch):

@@ -674,8 +674,43 @@ def test_a_single_level_read_builds_only_its_own_fractions(monkeypatch, fam42):
     assert fam42.max_length(300) > 0
     assert len(built) == 1
     built.clear()
+    assert fam42.min_gap(300) > 0
+    assert len(built) == 1
+    built.clear()
     empirical_cover_fit(fam42, [2, 40], limit=None)
     assert len(built) == 2
+
+
+def test_min_gap_and_level_intervals_form_no_longest_length(monkeypatch, fam42):
+    expected = [fam42.min_gap(n) for n in (1, 4, 300)], fam42.level_intervals(4)
+
+    def refuse(*args):
+        raise AssertionError("_longest_length was called")
+
+    monkeypatch.setattr(construction, "_longest_length", refuse)
+    assert ([fam42.min_gap(n) for n in (1, 4, 300)], fam42.level_intervals(4)) == expected
+
+
+def test_max_length_and_min_gap_form_no_level_count(monkeypatch, fam42):
+    # a count is the product of the branch counts m_1..m_n, which for
+    # (4^n, 2^n) differ from every window's start and end
+    n = 300
+    branch_counts = [hi - lo + 1 for lo, hi in fam42._windows(n)]
+    expected = fam42.max_length(n), fam42.min_gap(n)
+    products = []
+
+    def recording_prod(factors):
+        factors = list(factors)
+        products.append(factors)
+        return math.prod(factors)
+
+    monkeypatch.setattr(construction, "_balanced_prod", recording_prod)
+    assert (fam42.max_length(n), fam42.min_gap(n)) == expected
+    assert branch_counts not in products
+    assert len(products) == 2
+    # the builder forms the count when it is read
+    assert fam42._level(n, None).count == math.prod(branch_counts)
+    assert products[-1] == branch_counts
 
 
 def test_cover_fit_reads_no_level_sweep(monkeypatch, fam42):

@@ -85,6 +85,29 @@ def test_every_private_module_name_is_used_in_the_package():
             if name not in used} == {}
 
 
+def test_only_the_construction_module_names_the_level_windows_and_count():
+    # _windows lists a level's windows and _balanced_prod forms its count:
+    # any other module reads them through the level builder, so each has
+    # one owner
+    owned = {"_windows", "_balanced_prod"}
+    named, scanned = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        scanned.append(path.name)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in owned:
+                named.setdefault(path.name, set()).add(name)
+    assert {"construction.py", "dimension.py", "cli.py"} <= set(scanned)
+    assert named == {"construction.py": owned}
+
+
 def exported_names(tree: ast.Module) -> set[str]:
     """The names a module's __all__ lists, none when it has no __all__."""
     for node in tree.body:
