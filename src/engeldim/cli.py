@@ -13,13 +13,13 @@ are serialized as "p/q" strings and quotient values as shortest round-trip
 decimal strings, so identical configurations produce byte-identical output.
 The exact N_n, delta_n and epsilon_n columns of quantities and dim reach
 tens of thousands of digits, and CPython 3.11 converts an int to decimal in
-quadratic time; each of their cells is rendered from the exact Decimal of
-the cell above it instead, in time linear in its length; one long
-division per cell, as a rule, finds the ratio of the two.  delta_n and
-epsilon_n are rendered from the reduced integer pairs of the level's
-bounds, so no Fraction is built per cell.  A full level is printed as a
-stream of its unreduced endpoint ints, never held: each endpoint is
-reduced by one gcd, and each text line is one f-string.
+quadratic time.  So the row loop keeps N_n and s_1...s_n as exact Decimals
+stepped by m_n and s_n, and renders each cell from them by short factors,
+in time linear in its length, with no long division and no Fraction; a
+row with a non-integral term renders its bounds from their reduced integer
+pairs, each from the cell above it where it is a multiple of it.  A full
+level is printed as a stream of its unreduced endpoint ints, never held:
+each endpoint is reduced by one gcd, and each text line is one f-string.
 
 A command is one row of _COMMANDS, which names its flags and its runner.
 The runner returns a Report, one row source per format, and one writer per
@@ -296,34 +296,32 @@ def _fmt_quot(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
+# a private context with every digit kept: a step that would round raises,
+# no flag of it is read, and the thread's own context is never touched
+_EXACT = decimal.Context(decimal.MAX_PREC, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.Rounded])
+
+
 def _decimal_column() -> Callable[[int], str]:
     """Return a function that renders the ints of one column, passed in
     order, each exactly as str() renders it.
 
     CPython 3.11 converts an int to decimal in time quadratic in its
-    length, and the exact N_n, delta_n and epsilon_n columns reach tens of
-    thousands of digits.  Each of their cells is, as a rule, an exact
-    multiple of the cell above it.  So the function keeps the previous
-    value and its exact Decimal, and derives the next Decimal by one
-    multiplication by the ratio of the two, in time linear in the cell's
-    length.  Only where that chain breaks, as at a table's few-bit delta_n
-    numerators, the only cells that shrink, is a value converted in full.
+    length.  A bound's numerator or denominator is often an exact
+    multiple of the one in the row above.  So the function keeps the
+    previous value and its exact Decimal, finds their ratio by one long
+    division, and where it is whole derives the next Decimal by one
+    multiplication by it, in time linear in the cell's length; any other
+    value is converted in full.  _exact_rows renders only the bounds of a
+    row with a non-integral term this way.
     """
-    # a private context with every digit kept: a step that would round
-    # raises instead, and the thread's own context is never touched
-    ctx = decimal.Context(
-        prec=decimal.MAX_PREC,
-        Emax=decimal.MAX_EMAX,
-        Emin=decimal.MIN_EMIN,
-        traps=[decimal.Inexact, decimal.Rounded],
-    )
     prev, prev_dec = 0, None
 
     def render(x: int) -> str:
         nonlocal prev, prev_dec
         # one long division: the ratio, and whether it is exact (no zero is)
         ratio, rest = divmod(x, prev) if x and prev else (0, 1)
-        prev, prev_dec = x, Decimal(x) if rest else ctx.multiply(prev_dec, ratio)
+        prev, prev_dec = x, Decimal(x) if rest else _EXACT.multiply(prev_dec, ratio)
         return str(prev_dec)
 
     return render
@@ -348,13 +346,29 @@ def _exact_rows(
     """One flat row per level to depth: n, the command's own columns for
     the level, then its exact N_n, delta_n and epsilon_n cells.
 
+    N_n, and P_n = s_1...s_n while every s_k so far is integral, are exact
+    Decimals stepped by one short multiplication per row.  A row whose
+    terms are integral renders its bounds as P_n times the short factors
+    of LevelQuantities._factors, any other row through _fraction_column.
+
     The rows are a json row stream (see _write_rows): every str in them,
     the command's own columns included, must be number text."""
-    count, delta, gap = _decimal_column(), _fraction_column(), _fraction_column()
+    count, prod = Decimal(1), Decimal(1)
+    delta, gap = _fraction_column(), _fraction_column()
     for lq in family.iter_level_quantities(depth):
-        yield {"n": lq.n, **columns(lq), "N_n": count(lq.count),
-               "delta_n": delta(*lq._diameter_pair()),
-               "epsilon_n": gap(*lq._gap_pair())}
+        count = _EXACT.multiply(count, lq.m_n)
+        # P_n's copy is dropped at the first s_k that is not integral
+        whole = prod is not None and lq.s_n.denominator == 1
+        prod = _EXACT.multiply(prod, lq.s_n.numerator) if whole else None
+        factors = lq._factors() if whole else None
+        if factors is None:
+            bounds = delta(*lq._diameter_pair()), gap(*lq._gap_pair())
+        else:
+            u, g2, s2, e = factors
+            bounds = (f"{u}/{_EXACT.multiply(_EXACT.divide_int(prod, g2), s2)}",
+                      f"1/{_EXACT.multiply(prod, e)}")
+        yield {"n": lq.n, **columns(lq), "N_n": str(count),
+               "delta_n": bounds[0], "epsilon_n": bounds[1]}
 
 
 # -- reports and their writers ---------------------------------------------

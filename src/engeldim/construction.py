@@ -105,31 +105,37 @@ class LevelQuantities(NamedTuple):
         """epsilon_n = 1/(2**(n+3) * s_1...s_n * s_n)."""
         return Fraction(*self._gap_pair())
 
-    def _diameter_pair(self) -> tuple[int, int]:
-        # delta_n as its reduced (num, den), den > 0.  With integral terms,
-        # u = 4*t_{n+1} is small and P = s_1...s_n long, and
-        # gcd(u, P*s**2) = g1*g2 with g1 = gcd(u, s**2), g2 = gcd(u/g1, P):
-        # no gcd of two long ints, and no long division when g2 = 1
+    def _factors(self) -> tuple[int, int, int, int] | None:
+        # with s_n, s_{n+1}, t_{n+1} and P = s_1...s_n integral, the short
+        # factors (u, g2, s2, e) of delta_n = u/((P/g2)*s2) and epsilon_n =
+        # 1/(P*e) in lowest terms, e = s_n*2**(n+3): as gcd(4t, P*s**2) =
+        # g1*g2 for g1 = gcd(4t, s**2), g2 = gcd(4t/g1, P), no gcd of two
+        # long ints is taken.  None for any other terms
         s, t, _, _ = self.next_level
-        prod_s = self.prod_s
-        if s.denominator == t.denominator == prod_s.denominator == 1:
-            s, u, prod_s = s.numerator, 4 * t.numerator, prod_s.numerator
-            s2 = s * s
-            g1 = gcd(u, s2)
-            u, s2 = u // g1, s2 // g1
-            g2 = gcd(u, prod_s)
-            if g2 != 1:
-                u, prod_s = u // g2, prod_s // g2
-            return u, prod_s * s2
-        bound = Fraction(4 * t, prod_s * (s * s))
+        if not (s.denominator == t.denominator == self.s_n.denominator
+                == self.prod_s.denominator == 1):
+            return None
+        u, s2 = 4 * t.numerator, s.numerator ** 2
+        g1 = gcd(u, s2)
+        g2 = gcd(u // g1, self.prod_s.numerator)
+        return u // (g1 * g2), g2, s2 // g1, self.s_n.numerator << (self.n + 3)
+
+    def _diameter_pair(self) -> tuple[int, int]:
+        # delta_n as its reduced (num, den), den > 0
+        factors = self._factors()
+        if factors is not None:
+            u, g2, s2, _ = factors
+            return u, self.prod_s.numerator // g2 * s2
+        s, t, _, _ = self.next_level
+        bound = Fraction(4 * t, self.prod_s * (s * s))
         return bound.numerator, bound.denominator
 
     def _gap_pair(self) -> tuple[int, int]:
         # epsilon_n as its reduced (num, den), den > 0: the numerator is 1
-        s_n, prod_s = self.s_n, self.prod_s
-        if s_n.denominator == prod_s.denominator == 1:
-            return 1, prod_s.numerator * (s_n.numerator << (self.n + 3))
-        bound = Fraction(1, prod_s * (s_n * 2 ** (self.n + 3)))
+        factors = self._factors()
+        if factors is not None:
+            return 1, self.prod_s.numerator * factors[-1]
+        bound = Fraction(1, self.prod_s * (self.s_n * 2 ** (self.n + 3)))
         return bound.numerator, bound.denominator
 
 

@@ -1,6 +1,7 @@
-"""The exact N_n, delta_n and epsilon_n cells, rendered through chains of
-exact Decimals, against str(); and the JSON writer, against json.dumps,
-with the rule it relies on: every str cell of a row stream is number text.
+"""The exact N_n, delta_n and epsilon_n cells, rendered from running exact
+Decimals or through chains of them, against str(); and the JSON writer,
+against json.dumps, with the rule it relies on: every str cell of a row
+stream is number text.
 """
 
 import decimal
@@ -66,10 +67,32 @@ def test_columns_are_independent():
     assert second(7) == "7"
 
 
-def test_exact_cells_match_str_on_a_rational_family():
-    fam = SequenceFamily.geometric(F(10, 3), F(7, 3), s_coef=3, t_coef=2)
-    levels = fam.iter_level_quantities(40)
-    assert list(cli._exact_rows(fam, 40, lambda lq: {})) == [
+def table(pairs):
+    return SequenceFamily.from_pairs(pair.split(":") for pair in pairs.split(","))
+
+
+# a table keeps its terms as Fractions, here all with denominator 1
+TWO_K_TABLE = SequenceFamily.from_pairs((2**k + 1, 2) for k in range(1, 63))
+
+# (family, depth): integral and rational terms, and tables that mix them
+EXACT_FAMILIES = {
+    # s_1...s_n is integral again from n = 2, after a non-integral s_1
+    "table turning integral": (table("5/2:2,24/5:2,7:2,10:2,13:2"), 4),
+    # g2 = gcd(4*t_2/g1, s_1) = 3 at level 1
+    "table with g2 = 3": (table("3:2,7:3,12:2,16:2"), 3),
+    # no bound's denominator is a multiple or a divisor of the one above
+    "table 2^k + 1": (TWO_K_TABLE, 60),
+    "power-geometric": (SequenceFamily.power_geometric(8, F(1, 3)), 60),
+    "rational geometric": (SequenceFamily.geometric(F(10, 3), F(7, 3), s_coef=3,
+                                                    t_coef=2), 40),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_FAMILIES)
+def test_exact_cells_match_str(name):
+    fam, depth = EXACT_FAMILIES[name]
+    levels = fam.iter_level_quantities(depth)
+    assert list(cli._exact_rows(fam, depth, lambda lq: {})) == [
         {"n": lq.n, "N_n": str(lq.count), "delta_n": str(lq.diameter_bound),
          "epsilon_n": str(lq.gap_bound)} for lq in levels
     ]
@@ -81,6 +104,9 @@ def test_rendering_leaves_the_thread_context_alone():
     render = cli._fraction_column()
     for q in FRACTION_COLUMN:
         render(q.numerator, q.denominator)
+    for fam, depth in EXACT_FAMILIES.values():
+        for _ in cli._exact_rows(fam, depth, lambda lq: {}):
+            pass
     assert decimal.getcontext() is ctx
     assert (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
 
@@ -106,18 +132,18 @@ def test_full_conversions_happen_only_where_the_chain_breaks(monkeypatch):
     assert converted == [3**500, 3**700, 5**400, 7**300, 1]
 
 
-def test_integer_families_convert_only_their_first_level(monkeypatch):
+@pytest.mark.parametrize("fam", [
+    SequenceFamily.geometric(4, 2),
+    SequenceFamily.power_geometric(8, F(1, 3)),
+    TWO_K_TABLE,
+], ids=["geometric", "power-geometric", "table 2^k + 1"])
+def test_integral_families_convert_no_long_int_in_full(fam, monkeypatch):
+    # every cell is stepped from the running Decimals by short factors;
+    # the ratio chains would convert the 2^k + 1 table's cells in full
     converted = counting_decimal(monkeypatch)
-    first = SequenceFamily.geometric(4, 2).level_quantities(1)
-    for _ in cli._exact_rows(SequenceFamily.geometric(4, 2), 60, lambda lq: {}):
-        pass
-    assert sorted(converted) == sorted([
-        first.count,
-        first.diameter_bound.numerator,
-        first.diameter_bound.denominator,
-        first.gap_bound.numerator,
-        first.gap_bound.denominator,
-    ])
+    rows = list(cli._exact_rows(fam, 60, lambda lq: {}))
+    assert [row["n"] for row in rows] == list(range(1, 61))
+    assert [x for x in converted if x.bit_length() > 64] == []
 
 
 def test_exact_rows_build_no_fraction(monkeypatch):

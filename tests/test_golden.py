@@ -13,13 +13,15 @@ stored, next to the exit code and the stderr text.  They cover quantities
 in all three formats, dim as csv and json, an integer, a rational and a
 power-geometric family, and a rational pair table whose exact columns are
 not multiples or divisors of the row before, also as json, with a null
-lower_n.  dim as json on the rational family (n_max 150) pins exact cells
-that are Fraction text, and a level --sample of 15 words at level 40 of
-(4^n, 2^n) as json pins long sampled endpoints.  They also cover full
-levels: 8,192 intervals of (2^n, 2) in all three formats, 1,100 intervals
-of the rational-ratio family s_n = 3(10/3)^n, t_n = 2(7/3)^n in all three
-formats, and a pair table with mixed branching as text and json, which
-state the minimum gap.
+lower_n, and the integral table s_k = 2^k + 1, t_k = 2 (quantities as
+csv, dim as json), whose bound denominators are neither multiples nor
+divisors of the row before.  dim as json on the rational family (n_max
+150) pins exact cells that are Fraction text, and a level --sample of 15
+words at level 40 of (4^n, 2^n) as json pins long sampled endpoints.
+They also cover full levels: 8,192 intervals of (2^n, 2) in all three
+formats, 1,100 intervals of the rational-ratio family s_n = 3(10/3)^n,
+t_n = 2(7/3)^n in all three formats, and a pair table with mixed
+branching as text and json, which state the minimum gap.
 
 The same cases and digests are also replayed under every python3.10 to
 python3.13 on PATH, or else installed by pyenv, since the output must not
