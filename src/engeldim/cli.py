@@ -13,11 +13,12 @@ are serialized as "p/q" strings and quotient values as shortest round-trip
 decimal strings, so identical configurations produce byte-identical output.
 The exact N_n, delta_n and epsilon_n columns of quantities and dim reach
 tens of thousands of digits, and CPython 3.11 converts an int to decimal in
-quadratic time.  So the row loop keeps N_n and s_1...s_n as exact Decimals
-stepped by m_n and s_n, and renders each cell from them by short factors,
-in time linear in its length, with no long division and no Fraction; a
-row with a non-integral term renders its bounds from their reduced integer
-pairs, each from the cell above it where it is a multiple of it.  A full
+quadratic time.  So the row loop reads the family's sweep of terms, keeps
+N_n and s_1...s_n as exact Decimals stepped by m_n and s_n, and renders
+each cell from them by short factors, in time linear in its length, with
+no int product of the terms, no long division and no Fraction; a row with
+a non-integral term renders its bounds from their reduced integer pairs,
+each from the cell above it where it is a multiple of it.  A full
 level is printed as a stream of its unreduced endpoint ints, never held:
 each endpoint is reduced by one gcd, and each text line is one f-string.
 
@@ -28,7 +29,8 @@ grow with the size of the output.  JSON is written by the package itself,
 byte for byte as json.dumps(doc, indent=2): the long lists of a document
 are row streams whose cells are number text, which holds nothing json
 escapes, so each cell is quoted as it is instead of passing through json's
-escape scan, which costs as much as rendering its digits.  A command
+escape scan, which costs as much as rendering its digits, and an int cell
+is written by str, which is what json writes for it.  A command
 finishes every step that can fail before its first row is written: when it
 fails, nothing reaches stdout.
 Exit codes: 0 success, 1 usage problem, 2 violated window conditions.
@@ -50,7 +52,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, TextIO
 
-from .construction import DEFAULT_LEVEL_LIMIT, LevelQuantities, SequenceFamily
+from .construction import DEFAULT_LEVEL_LIMIT, LevelQuantities, SequenceFamily, _running
 from .dimension import DEFAULT_FIT_LIMIT, empirical_cover_fit, estimate_dimension
 from .engel import DigitWord, _interval_str, cylinder_interval, engel_digits
 from .errors import (
@@ -341,33 +343,45 @@ def _fraction_column() -> Callable[[int, int], str]:
 
 
 def _exact_rows(
-    family: SequenceFamily, depth: int, columns: Callable[[LevelQuantities], dict]
+    family: SequenceFamily, depth: int, columns: Callable[[int, int], dict]
 ) -> Iterator[dict]:
     """One flat row per level to depth: n, the command's own columns for
-    the level, then its exact N_n, delta_n and epsilon_n cells.
+    level n and its branch count m_n, then its exact N_n, delta_n and
+    epsilon_n cells.
 
+    The rows read the family's sweep of (n, m_n, s_n, next terms), and no
+    int product of the terms is formed on a row whose terms are integral.
     N_n, and P_n = s_1...s_n while every s_k so far is integral, are exact
-    Decimals stepped by one short multiplication per row.  A row whose
-    terms are integral renders its bounds as P_n times the short factors
-    of LevelQuantities._factors, any other row through _fraction_column.
+    Decimals stepped by one short multiplication per row.  Such a row
+    renders its bounds as P_n times the short factors of
+    LevelQuantities._factors, whose g2 divides a short v and is read from
+    P_n's remainder by v, and P_n is divided only by a g2 > 1.  Any other
+    row renders them through _fraction_column from the level's exact
+    record, formed by level_quantities at the first such row and run by
+    one step per row from there.
 
     The rows are a json row stream (see _write_rows): every str in them,
     the command's own columns included, must be number text."""
-    count, prod = Decimal(1), Decimal(1)
+    count, prod, exact = Decimal(1), Decimal(1), None
     delta, gap = _fraction_column(), _fraction_column()
-    for lq in family.iter_level_quantities(depth):
-        count = _EXACT.multiply(count, lq.m_n)
+    for n, m, s_n, next_level in family._sweep(depth):
+        count = _EXACT.multiply(count, m)
         # P_n's copy is dropped at the first s_k that is not integral
-        whole = prod is not None and lq.s_n.denominator == 1
-        prod = _EXACT.multiply(prod, lq.s_n.numerator) if whole else None
-        factors = lq._factors() if whole else None
+        whole = prod is not None and s_n.denominator == 1
+        prod = _EXACT.multiply(prod, s_n.numerator) if whole else None
+        factors = LevelQuantities._factors(
+            n, s_n, next_level, lambda v: int(_EXACT.remainder(prod, v))) if whole else None
+        if exact is not None:
+            exact = _running(exact, n, m, s_n, next_level)
+        elif factors is None:
+            exact = family.level_quantities(n)
         if factors is None:
-            bounds = delta(*lq._diameter_pair()), gap(*lq._gap_pair())
+            bounds = delta(*exact._diameter_pair()), gap(*exact._gap_pair())
         else:
             u, g2, s2, e = factors
-            bounds = (f"{u}/{_EXACT.multiply(_EXACT.divide_int(prod, g2), s2)}",
-                      f"1/{_EXACT.multiply(prod, e)}")
-        yield {"n": lq.n, **columns(lq), "N_n": str(count),
+            den = prod if g2 == 1 else _EXACT.divide_int(prod, g2)
+            bounds = f"{u}/{_EXACT.multiply(den, s2)}", f"1/{_EXACT.multiply(prod, e)}"
+        yield {"n": n, **columns(n, m), "N_n": str(count),
                "delta_n": bounds[0], "epsilon_n": bounds[1]}
 
 
@@ -436,8 +450,10 @@ def _write_rows(rows: Iterator[dict], out: TextIO) -> None:
     # a non-empty stream of non-empty flat rows whose values are ints,
     # None, bools and number text: a str made by str(), repr() or an
     # f-string of an int, a Fraction, a Decimal or a float.  Number text
-    # holds no character that json escapes, so it is quoted as it is, and
-    # each key is escaped once per stream
+    # holds no character that json escapes, so it is quoted as it is; a
+    # cell whose type is exactly int is written by str, as json writes it,
+    # and a bool, None or anything else by json.dumps.  Each key is
+    # escaped once per stream
     keys: dict[str, str] = {}
     separator = "["
     for row in rows:
@@ -446,6 +462,7 @@ def _write_rows(rows: Iterator[dict], out: TextIO) -> None:
             if key not in keys:
                 keys[key] = f"\n      {json.dumps(key)}: "
             cells.append(keys[key] + (f'"{value}"' if isinstance(value, str)
+                                      else str(value) if type(value) is int
                                       else json.dumps(value)))
         out.write(f"{separator}\n    {{{','.join(cells)}\n    }}")
         separator = ","
@@ -679,7 +696,7 @@ def _run_quantities(cfg: argparse.Namespace) -> Report:
         pass
 
     levels = functools.partial(_exact_rows, cfg.family, cfg.depth,
-                               lambda lq: {"m_n": lq.m_n})
+                               lambda n, m_n: {"m_n": m_n})
 
     def text() -> Iterator[str]:
         # each column is right-justified to its widest cell, which is known
@@ -718,8 +735,8 @@ def _run_dim(cfg: argparse.Namespace) -> Report:
 
     # machine formats carry the exact per-level quantities next to the
     # floating quotients; these strings grow quickly with n
-    def quotients(lq: LevelQuantities) -> dict:
-        i = lq.n - 1
+    def quotients(n: int, m_n: int) -> dict:
+        i = n - 1
         return {
             "F_n": _fmt_quot(report.formula[i]),
             "upper_n": _fmt_quot(report.upper[i]),

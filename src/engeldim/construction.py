@@ -105,24 +105,36 @@ class LevelQuantities(NamedTuple):
         """epsilon_n = 1/(2**(n+3) * s_1...s_n * s_n)."""
         return Fraction(*self._gap_pair())
 
-    def _factors(self) -> tuple[int, int, int, int] | None:
+    @staticmethod
+    def _factors(n: int, s_n: int | Fraction,
+                 next_level: tuple[int | Fraction, int | Fraction, int, int],
+                 prod_mod: Callable[[int], int]) -> tuple[int, int, int, int] | None:
         # with s_n, s_{n+1}, t_{n+1} and P = s_1...s_n integral, the short
         # factors (u, g2, s2, e) of delta_n = u/((P/g2)*s2) and epsilon_n =
         # 1/(P*e) in lowest terms, e = s_n*2**(n+3): as gcd(4t, P*s**2) =
-        # g1*g2 for g1 = gcd(4t, s**2), g2 = gcd(4t/g1, P), no gcd of two
-        # long ints is taken.  None for any other terms
-        s, t, _, _ = self.next_level
-        if not (s.denominator == t.denominator == self.s_n.denominator
-                == self.prod_s.denominator == 1):
+        # g1*g2 for g1 = gcd(4t, s**2) and g2 = gcd(v, P), v = 4t/g1, no gcd
+        # of a long int is taken.  g2 is gcd(v, prod_mod(v)), prod_mod(v)
+        # being any int congruent to P mod v, so P may be held in any exact
+        # form, and 1 without a call where v = 1.  The caller knows P is
+        # integral; None for any other terms
+        s, t, _, _ = next_level
+        if not s.denominator == t.denominator == s_n.denominator == 1:
             return None
         u, s2 = 4 * t.numerator, s.numerator ** 2
         g1 = gcd(u, s2)
-        g2 = gcd(u // g1, self.prod_s.numerator)
-        return u // (g1 * g2), g2, s2 // g1, self.s_n.numerator << (self.n + 3)
+        v = u // g1
+        g2 = gcd(v, prod_mod(v)) if v > 1 else 1
+        return v // g2, g2, s2 // g1, s_n.numerator << (n + 3)
+
+    def _own_factors(self) -> tuple[int, int, int, int] | None:
+        # _factors of this record, None where s_1...s_n is not integral
+        if self.prod_s.denominator != 1:
+            return None
+        return self._factors(self.n, self.s_n, self.next_level, self.prod_s.numerator.__mod__)
 
     def _diameter_pair(self) -> tuple[int, int]:
         # delta_n as its reduced (num, den), den > 0
-        factors = self._factors()
+        factors = self._own_factors()
         if factors is not None:
             u, g2, s2, _ = factors
             return u, self.prod_s.numerator // g2 * s2
@@ -132,7 +144,7 @@ class LevelQuantities(NamedTuple):
 
     def _gap_pair(self) -> tuple[int, int]:
         # epsilon_n as its reduced (num, den), den > 0: the numerator is 1
-        factors = self._factors()
+        factors = self._own_factors()
         if factors is not None:
             return 1, self.prod_s.numerator * factors[-1]
         bound = Fraction(1, self.prod_s * (self.s_n * 2 ** (self.n + 3)))
@@ -450,22 +462,28 @@ class SequenceFamily(_Record):
 
         Each record's count and bounds come from this walk; the longest
         length is max_length(n).  Each sequence value is evaluated once and
-        the products run from level to level, so this is the way to
-        tabulate deep runs; level_quantities(n) reads one level alone.
+        N_n and s_1...s_n run from level to level as ints or Fractions;
+        level_quantities(n) reads one level alone.  The CLI's exact
+        columns read neither: they step their own exact Decimals.
         The conditions are verified in the same pass, so a lazy consumer
         can receive the first levels before a ConditionError from a deeper
         one.
         """
+        quantities = None
+        for level in self._sweep(depth):
+            quantities = _running(quantities, *level)
+            yield quantities
+
+    def _sweep(self, depth: int) -> Iterator[
+            tuple[int, int, int | Fraction, tuple[int | Fraction, int | Fraction, int, int]]]:
+        # (n, m_n, s_n, next_level) for levels 1..depth from one walk: a
+        # level's record without its running products
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
-        prod_s = count = 1
         # level n's bounds read window n + 1, so walk to it
         walk = itertools.pairwise(self.levels(depth + 1))
         for n, ((s_n, _, lo, hi), next_level) in enumerate(walk, 1):
-            prod_s *= s_n
-            m = hi - lo + 1
-            count *= m
-            yield LevelQuantities(n, count, m, prod_s, s_n, next_level)
+            yield n, hi - lo + 1, s_n, next_level
 
     def level_quantities(self, n: int) -> LevelQuantities:
         """The quantities of level n alone, equal to the n-th record of
@@ -478,6 +496,14 @@ class SequenceFamily(_Record):
         count = _balanced_prod(w_hi - w_lo + 1 for _, _, w_lo, w_hi in walk)
         prod_s = _balanced_prod(s for s, _, _, _ in walk)
         return LevelQuantities(n, count, hi - lo + 1, prod_s, s_n, next_level)
+
+
+def _running(previous: LevelQuantities | None, n: int, m_n: int, s_n: int | Fraction,
+             next_level: tuple[int | Fraction, int | Fraction, int, int]) -> LevelQuantities:
+    """Level n's record, its N_n and s_1...s_n one step of a running product
+    from previous, level n - 1's record, or from the empty products at n = 1."""
+    count, prod_s = (1, 1) if previous is None else (previous.count, previous.prod_s)
+    return LevelQuantities(n, count * m_n, m_n, prod_s * s_n, s_n, next_level)
 
 
 class _Level:

@@ -4,6 +4,7 @@ against json.dumps, with the rule it relies on: every str cell of a row
 stream is number text.
 """
 
+import collections
 import decimal
 import io
 import json
@@ -85,6 +86,14 @@ EXACT_FAMILIES = {
     "power-geometric": (SequenceFamily.power_geometric(8, F(1, 3)), 60),
     "rational geometric": (SequenceFamily.geometric(F(10, 3), F(7, 3), s_coef=3,
                                                     t_coef=2), 40),
+    # v = 4*t_{n+1}/g1 = 2^(n+3) > 1, yet g2 = 1 on every row
+    "geometric (3^n, 2^n)": (SequenceFamily.geometric(3, 2), 60),
+    # g2 = 3, 4, 4, 2 and 8 at levels 1 to 5
+    "table with g2 > 1": (table("6:2,10:3,15:3,21:6,30:6,45:10,60:2"), 6),
+    # only t_2 is not integral: row 1 leaves the integral path, row 2 is back
+    "table with a non-integral t": (table("3:2,7:5/2,12:2,16:2,20:2"), 4),
+    # s_5 is not integral: the rows leave the integral path at level 4
+    "table leaving at level 4": (table("3:2,7:3,12:2,16:2,41/2:2,30:2,40:2"), 6),
 }
 
 
@@ -92,7 +101,7 @@ EXACT_FAMILIES = {
 def test_exact_cells_match_str(name):
     fam, depth = EXACT_FAMILIES[name]
     levels = fam.iter_level_quantities(depth)
-    assert list(cli._exact_rows(fam, depth, lambda lq: {})) == [
+    assert list(cli._exact_rows(fam, depth, lambda n, m_n: {})) == [
         {"n": lq.n, "N_n": str(lq.count), "delta_n": str(lq.diameter_bound),
          "epsilon_n": str(lq.gap_bound)} for lq in levels
     ]
@@ -105,7 +114,7 @@ def test_rendering_leaves_the_thread_context_alone():
     for q in FRACTION_COLUMN:
         render(q.numerator, q.denominator)
     for fam, depth in EXACT_FAMILIES.values():
-        for _ in cli._exact_rows(fam, depth, lambda lq: {}):
+        for _ in cli._exact_rows(fam, depth, lambda n, m_n: {}):
             pass
     assert decimal.getcontext() is ctx
     assert (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
@@ -141,9 +150,49 @@ def test_integral_families_convert_no_long_int_in_full(fam, monkeypatch):
     # every cell is stepped from the running Decimals by short factors;
     # the ratio chains would convert the 2^k + 1 table's cells in full
     converted = counting_decimal(monkeypatch)
-    rows = list(cli._exact_rows(fam, 60, lambda lq: {}))
+    rows = list(cli._exact_rows(fam, 60, lambda n, m_n: {}))
     assert [row["n"] for row in rows] == list(range(1, 61))
     assert [x for x in converted if x.bit_length() > 64] == []
+
+
+class _CountingContext:
+    """A decimal context that counts the calls of each of its methods."""
+
+    def __init__(self, context):
+        self.context, self.calls = context, collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.context, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return method(*args)
+
+        return counted
+
+
+@pytest.mark.parametrize("fam, remainders", [
+    (SequenceFamily.geometric(4, 2), 0),  # v = 1 on every row
+    (SequenceFamily.geometric(3, 2), 60),  # v = 2^(n+3), g2 = 1 on every row
+], ids=["(4^n, 2^n)", "(3^n, 2^n)"])
+def test_integral_rows_form_no_int_product_and_divide_by_no_one(fam, remainders,
+                                                                 monkeypatch):
+    # the rows read the private sweep, never an int record of the terms,
+    # take g2 from P_n's remainder only where v > 1, and divide by no g2 = 1
+    expected = list(cli._exact_rows(fam, 60, lambda n, m_n: {}))
+
+    def refuse(*args):
+        raise AssertionError("an int record of the level was formed")
+
+    monkeypatch.setattr(SequenceFamily, "iter_level_quantities", refuse)
+    monkeypatch.setattr(SequenceFamily, "level_quantities", refuse)
+    monkeypatch.setattr(cli, "_running", refuse, raising=False)
+    exact = _CountingContext(cli._EXACT)
+    monkeypatch.setattr(cli, "_EXACT", exact)
+    assert list(cli._exact_rows(fam, 60, lambda n, m_n: {})) == expected
+    assert exact.calls["divide_int"] == 0
+    assert exact.calls["remainder"] == remainders
+    assert exact.calls["multiply"] > 0
 
 
 def test_exact_rows_build_no_fraction(monkeypatch):
@@ -157,7 +206,7 @@ def test_exact_rows_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(construction, "Fraction", counting_fraction)
     monkeypatch.setattr(cli, "Fraction", counting_fraction)
-    rows = list(cli._exact_rows(fam, 60, lambda lq: {}))
+    rows = list(cli._exact_rows(fam, 60, lambda n, m_n: {}))
     assert [row["n"] for row in rows] == list(range(1, 61))
     assert built == []
 
@@ -192,6 +241,9 @@ fields = (st.tuples(st.just(False), heads)
 @SEEDED
 @given(st.dictionaries(texts, fields, min_size=1, max_size=5))
 @example({"levels": (True, [])})  # an empty stream is an empty list
+# int cells are written by str; bools, None and long ints still read as json's
+@example({"levels": (True, [{"t": True, "f": False, "none": None, "zero": 0,
+                             "big": 2**70, "negative": -2**70}])})
 def test_write_json_is_json_dumps(doc):
     out = io.StringIO()
     cli._write_json({key: iter(value) if streamed else value
