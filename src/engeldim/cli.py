@@ -8,6 +8,17 @@ the flag names without leading dashes; explicit flags win.  The option
 tables below state each flag once, with its converter and its default; a
 value that was given is always converted, so an empty one is an error.
 
+The argument list is read in one pass, with argparse's grammar and messages
+but without argparse: the command first, then --flag value or --flag=value
+pairs in any order, each flag named in full; a repeated flag keeps its last
+value.  A token that starts with "-" is a value only if it is "-", a
+negative number such as -5 or -.5, or has a space in it, so "--x -1/3"
+fails as a flag without its value.  A flag that is not the command's, a
+stray token and everything from a bare "--" on are reported together as
+unrecognized.  -h or --help, before the command or after it, prints the
+help of the program or of the command, drawn from the option tables, and
+exits 0.
+
 Output formats: text for reading, csv and json for machines.  Exact values
 are serialized as "p/q" strings and quotient values as shortest round-trip
 decimal strings, so identical configurations produce byte-identical output.
@@ -38,18 +49,19 @@ Exit codes: 0 success, 1 usage problem, 2 violated window conditions.
 
 from __future__ import annotations
 
-import argparse
 import decimal
 import functools
 import itertools
 import json
 import os
 import random
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 from typing import NamedTuple, TextIO
 
 from .construction import DEFAULT_LEVEL_LIMIT, LevelQuantities, SequenceFamily, _running
@@ -89,7 +101,7 @@ _OPTION_HELP = {
 }
 
 
-# -- the option tables, their converters and the parser ----------------------
+# -- the option tables, their converters and the argv reader ------------------
 
 
 # each converter takes a flag's value and the flag's name
@@ -167,27 +179,85 @@ _FAMILY_FLAGS = {flag: entry for _, flags in _KINDS.values()
 _FAMILY_OPTIONS = ("family", *_FAMILY_FLAGS)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; status 2 is reserved for
-    # violated conditions here, so surface parse problems as usage errors
-    def error(self, message: str):
-        raise UsageError(message)
+# argparse's pattern of a negative number, which is a value although it
+# starts with "-"
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-# nothing mutates the parser, so one tree serves every call in a process
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="engeldim", allow_abbrev=False,
-                     description=__doc__.splitlines()[0])
-    subparsers = parser.add_subparsers(dest="command", metavar="command")
-    for command, (summary, _, flags, _) in _COMMANDS.items():
-        sub = subparsers.add_parser(command, help=summary, allow_abbrev=False)
+def _is_value(token: str, names: tuple[str, ...]) -> bool:
+    """Whether argparse reads token as a value rather than as a flag, where
+    the flags of names are accepted: any token that does not start with
+    "-", "-" itself, and a negative number or a token with a space in it,
+    unless it is --name=... for one of names."""
+    if token[:1] != "-" or token == "-":
+        return True
+    if token[:2] == "--" and token[2:].partition("=")[0] in names:
+        return False
+    return " " in token or _NEGATIVE.match(token) is not None
+
+
+def _read_argv(argv: Sequence[str]) -> tuple[str, dict[str, str]]:
+    """The command and the value of each flag given, read in one pass by
+    the grammar that the module docstring states.  As in argparse, an
+    unknown command, a flag without its value and -h fail or exit at once,
+    and the unrecognized tokens are reported after the pass."""
+    command, names, given, extras = None, ("help",), {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if command is None and (token == "--" or _is_value(token, names)):
+            if token in _COMMANDS:
+                command, names = token, (*_COMMAND_OPTIONS[token], "help")
+                continue
+            # a bare "--" is taken for the command only if a token follows it
+            if token != "--" or next(tokens, None) is not None:
+                raise UsageError(
+                    f"argument command: invalid choice: {token!r} (choose from "
+                    + ", ".join(map(repr, _COMMANDS)) + ")")
+        if token == "--":
+            extras += [token, *tokens]
+            break
+        name, eq, value = token[2:].partition("=") if token[:2] == "--" else ("", "", "")
+        if token == "-h" or name == "help":
+            if eq:
+                raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            print(_help(command))
+            raise SystemExit(0)
+        if name not in names:
+            extras.append(token)
+            continue
+        if not eq:
+            # a missing value reads as "--", which is no value
+            value = next(tokens, "--")
+            if not _is_value(value, names):
+                raise UsageError(f"argument --{name}: expected one argument")
+        given[name] = value
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    if command is None:
+        raise UsageError("missing command; choose from " + ", ".join(_COMMANDS))
+    return command, given
+
+
+def _help(command: str | None) -> str:
+    """The help of a command, from the option tables, or of the program."""
+    sections = {"commands": [], "options": [("-h, --help", "show this help message and exit")]}
+    if command is None:
+        usage, about = "engeldim [-h] command ...", __doc__.splitlines()[0]
+        sections["commands"] = [(name, row[0]) for name, row in _COMMANDS.items()]
+    else:
+        about, _, flags, _ = _COMMANDS[command]
+        usage = f"engeldim {command} [-h] [--FLAG VALUE | --FLAG=VALUE]..."
         tables = {**_FAMILY_FLAGS, **flags, **_OUTPUT_FLAG}
-        for name in _COMMAND_OPTIONS[command]:
-            _, default = tables.get(name, (None, None))
-            sub.add_argument(f"--{name}", default=None,
-                             help=_OPTION_HELP[name] + _default_note(default))
-    return parser
+        sections["options"] += [
+            (f"--{name} {name.upper().replace('-', '_')}",
+             _OPTION_HELP[name] + _default_note(tables.get(name, (None, None))[1]))
+            for name in _COMMAND_OPTIONS[command]]
+    width = max(len(term) for rows in sections.values() for term, _ in rows)
+    lines = [f"usage: {usage}", "", about]
+    for title, rows in sections.items():
+        if rows:
+            lines += ["", f"{title}:", *(f"  {term:<{width}}  {text}" for term, text in rows)]
+    return "\n".join(lines)
 
 
 def _default_note(default) -> str:
@@ -266,25 +336,21 @@ def _build_family(opts: dict, command: str) -> SequenceFamily:
     return family
 
 
-def parse_config(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse flags, merge the optional config file, convert and validate.
+def parse_config(argv: Sequence[str]) -> SimpleNamespace:
+    """Read the flags, merge the optional config file, convert and validate.
 
     The namespace holds command, output and family (None for a command
     that reads none), and the command's own flags by field name."""
-    ns = build_parser().parse_args(list(argv))
-    command = ns.command
-    if command is None:
-        raise UsageError("missing command; choose from " + ", ".join(_COMMANDS))
+    command, given = _read_argv(argv)
     # the flags given, over the config file's values
-    given = {k.replace("_", "-"): v for k, v in vars(ns).items() if v is not None}
     config = _read_config_file(given["config"], command) if "config" in given else {}
     opts = {**config, **given}
     # the output first, then the family, then the command's own flags
     output = _convert(opts, _OUTPUT_FLAG, command)["output"]
     _, reads_family, flags, _ = _COMMANDS[command]
     family = _build_family(opts, command) if reads_family else None
-    return argparse.Namespace(command=command, output=output, family=family,
-                              **_convert(opts, flags, command))
+    return SimpleNamespace(command=command, output=output, family=family,
+                           **_convert(opts, flags, command))
 
 
 # -- rendering helpers ---------------------------------------------------
@@ -343,14 +409,15 @@ def _fraction_column() -> Callable[[int, int], str]:
 
 
 def _exact_rows(
-    family: SequenceFamily, depth: int, columns: Callable[[int, int], dict]
+    family: SequenceFamily, sweep: Iterable[tuple], columns: Callable[[int, int], dict]
 ) -> Iterator[dict]:
-    """One flat row per level to depth: n, the command's own columns for
+    """One flat row per level of sweep: n, the command's own columns for
     level n and its branch count m_n, then its exact N_n, delta_n and
     epsilon_n cells.
 
-    The rows read the family's sweep of (n, m_n, s_n, next terms), and no
-    int product of the terms is formed on a row whose terms are integral.
+    sweep is family._sweep(depth), or the records it yielded: each level's
+    (n, m_n, s_n, next terms).  No int product of the terms is formed on a
+    row whose terms are integral.
     N_n, and P_n = s_1...s_n while every s_k so far is integral, are exact
     Decimals stepped by one short multiplication per row.  Such a row
     renders its bounds as P_n times the short factors of
@@ -364,7 +431,7 @@ def _exact_rows(
     the command's own columns included, must be number text."""
     count, prod, exact = Decimal(1), Decimal(1), None
     delta, gap = _fraction_column(), _fraction_column()
-    for n, m, s_n, next_level in family._sweep(depth):
+    for n, m, s_n, next_level in sweep:
         count = _EXACT.multiply(count, m)
         # P_n's copy is dropped at the first s_k that is not integral
         whole = prod is not None and s_n.denominator == 1
@@ -498,7 +565,7 @@ def _lowest_terms(ends: Iterable[tuple[int, int, int, int]]
         yield lo_num // g, lo_den // g, hi_num // h, hi_den // h
 
 
-def _report(cfg: argparse.Namespace, text, csv, json, code: int = 0) -> Report:
+def _report(cfg: SimpleNamespace, text, csv, json, code: int = 0) -> Report:
     """The Report of cfg's command from its own sources: the json document
     is opened by the command and the family, the text by the family line."""
     head, lines = {"command": cfg.command}, []
@@ -517,7 +584,7 @@ def _report(cfg: argparse.Namespace, text, csv, json, code: int = 0) -> Report:
 # -- command runners -----------------------------------------------------
 
 
-def _run_digits(cfg: argparse.Namespace) -> Report:
+def _run_digits(cfg: SimpleNamespace) -> Report:
     result = engel_digits(cfg.x, cfg.depth)
     digits = list(result.digits)
     return _report(
@@ -540,7 +607,7 @@ def _run_digits(cfg: argparse.Namespace) -> Report:
     )
 
 
-def _run_cylinder(cfg: argparse.Namespace) -> Report:
+def _run_cylinder(cfg: SimpleNamespace) -> Report:
     word = DigitWord(cfg.word)
     # the word's reconstruction is the left end of its cylinder
     interval = cylinder_interval(word)
@@ -571,7 +638,7 @@ def _run_cylinder(cfg: argparse.Namespace) -> Report:
     )
 
 
-def _run_check(cfg: argparse.Namespace) -> Report:
+def _run_check(cfg: SimpleNamespace) -> Report:
     report = cfg.family.check_conditions(cfg.depth)
     fields = {
         "depth": report.depth,
@@ -602,7 +669,7 @@ def _run_check(cfg: argparse.Namespace) -> Report:
     )
 
 
-def _run_level(cfg: argparse.Namespace) -> Report:
+def _run_level(cfg: SimpleNamespace) -> Report:
     n = cfg.depth
     if cfg.sample is not None:
         # each drawn word materializes one interval
@@ -689,14 +756,12 @@ def _run_level(cfg: argparse.Namespace) -> Report:
     )
 
 
-def _run_quantities(cfg: argparse.Namespace) -> Report:
+def _run_quantities(cfg: SimpleNamespace) -> Report:
     # the last row reads level depth + 1; walking the levels first makes a
-    # violation or a short table raise before anything is written
-    for _ in cfg.family.levels(cfg.depth + 1):
-        pass
-
-    levels = functools.partial(_exact_rows, cfg.family, cfg.depth,
-                               lambda n, m_n: {"m_n": m_n})
+    # violation or a short table raise before anything is written, and the
+    # rows read the records of that walk
+    sweep = list(cfg.family._sweep(cfg.depth))
+    levels = functools.partial(_exact_rows, cfg.family, sweep, lambda n, m_n: {"m_n": m_n})
 
     def text() -> Iterator[str]:
         # each column is right-justified to its widest cell, which is known
@@ -714,7 +779,7 @@ def _run_quantities(cfg: argparse.Namespace) -> Report:
     )
 
 
-def _run_dim(cfg: argparse.Namespace) -> Report:
+def _run_dim(cfg: SimpleNamespace) -> Report:
     report = estimate_dimension(cfg.family, cfg.n_max, cfg.tail_window)
 
     def text() -> Iterator[str]:
@@ -746,7 +811,7 @@ def _run_dim(cfg: argparse.Namespace) -> Report:
     return _report(
         cfg,
         text=text,
-        csv=lambda: _csv_of(_exact_rows(cfg.family, cfg.n_max, quotients)),
+        csv=lambda: _csv_of(_exact_rows(cfg.family, cfg.family._sweep(cfg.n_max), quotients)),
         json=lambda: {
             "n_max": report.n_max,
             "tail_window": report.tail_window,
@@ -754,12 +819,12 @@ def _run_dim(cfg: argparse.Namespace) -> Report:
             "tail_min_formula": _fmt_quot(report.tail_min_formula),
             "monotone_tail": report.monotone_tail,
             "caveat": report.caveat,
-            "levels": _exact_rows(cfg.family, cfg.n_max, quotients),
+            "levels": _exact_rows(cfg.family, cfg.family._sweep(cfg.n_max), quotients),
         },
     )
 
 
-def _run_cover_fit(cfg: argparse.Namespace) -> Report:
+def _run_cover_fit(cfg: SimpleNamespace) -> Report:
     result = empirical_cover_fit(cfg.family, cfg.depths, cfg.limit)
     slope = _fmt_quot(result.slope)
     points = [
@@ -817,7 +882,7 @@ _COMMAND_OPTIONS = {
 }
 
 
-def run(cfg: argparse.Namespace, out: TextIO) -> int:
+def run(cfg: SimpleNamespace, out: TextIO) -> int:
     """Execute a validated config and write its report to out in the
     chosen format, each row as it comes; returns the exit code."""
     report = _COMMANDS[cfg.command][-1](cfg)

@@ -1,5 +1,6 @@
 import collections
 import io
+import itertools
 import json
 import random
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from engeldim import SequenceFamily, UsageError, cli, construction
-from engeldim.cli import _COMMAND_OPTIONS, build_parser, main, parse_config, run
+from engeldim.cli import _COMMAND_OPTIONS, main, parse_config, run
 from engeldim.construction import DEFAULT_LEVEL_LIMIT
 from engeldim.dimension import DEFAULT_FIT_LIMIT
 
@@ -62,8 +63,7 @@ def test_parse_rejects_bad_values():
         parse_config(["digits", "--x", "1/0"])
 
 
-def test_parser_is_built_once_and_keeps_no_values_between_parses():
-    assert build_parser() is build_parser()
+def test_parse_keeps_no_values_between_parses():
     family = ["--family", "geometric", "--s", "4", "--t", "2", "--depth", "3"]
     limited = parse_config(["level", *family, "--limit", "5", "--sample", "2"])
     plain = parse_config(["level", *family])
@@ -135,14 +135,21 @@ def test_each_command_accepts_exactly_its_flags():
         "dim": [*family, "n-max", "tail-window", "output", "config"],
         "cover-fit": [*family, "depths", "limit", "output", "config"],
     }
-    # a subcommand's namespace holds one entry per flag, in the order of
-    # its help, after the command itself
-    accepted = {
-        command: [dest.replace("_", "-")
-                  for dest in vars(build_parser().parse_args([command]))][1:]
-        for command in expected
-    }
-    assert accepted == expected
+    flags = dict.fromkeys(flag for names in expected.values() for flag in names)
+    # a flag a command accepts may still fail later, on its value or on a
+    # flag left out; one it does not accept is refused as unrecognized
+    accepted = {command: [] for command in expected}
+    for command, flag in itertools.product(expected, flags):
+        try:
+            parse_config([command, f"--{flag}", "1"])
+        except UsageError as exc:
+            if str(exc) == f"unrecognized arguments: --{flag} 1":
+                continue
+        accepted[command].append(flag)
+    assert {command: set(names) for command, names in accepted.items()} == {
+        command: set(names) for command, names in expected.items()}
+    # in the order of the command's help
+    assert _COMMAND_OPTIONS == {command: tuple(names) for command, names in expected.items()}
     with pytest.raises(UsageError, match=f"choose from {', '.join(expected)}$"):
         parse_config([])
 
@@ -526,6 +533,28 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--bogus", "--help"]])
+def test_program_help_lists_each_command(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for command, (summary, *_) in cli._COMMANDS.items():
+        assert any(line.split() == [command, *summary.split()] for line in lines)
+
+
+def test_help_is_read_where_it_stands(capsys):
+    # before a stray token is reported, after a flag missing its value
+    with pytest.raises(SystemExit) as info:
+        main(["digits", "--bogus", "3", "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: engeldim digits ")
+    assert run_cli(capsys, "digits", "--x", "--help") == (
+        1, "", "usage error: argument --x: expected one argument\n")
+    assert run_cli(capsys, "digits", "--help=yes") == (
+        1, "", "usage error: argument -h/--help: ignored explicit argument 'yes'\n")
 
 
 _COEFS = {"s-coef": "1", "t-coef": "1"}

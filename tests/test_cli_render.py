@@ -101,7 +101,7 @@ EXACT_FAMILIES = {
 def test_exact_cells_match_str(name):
     fam, depth = EXACT_FAMILIES[name]
     levels = fam.iter_level_quantities(depth)
-    assert list(cli._exact_rows(fam, depth, lambda n, m_n: {})) == [
+    assert list(cli._exact_rows(fam, fam._sweep(depth), lambda n, m_n: {})) == [
         {"n": lq.n, "N_n": str(lq.count), "delta_n": str(lq.diameter_bound),
          "epsilon_n": str(lq.gap_bound)} for lq in levels
     ]
@@ -114,7 +114,7 @@ def test_rendering_leaves_the_thread_context_alone():
     for q in FRACTION_COLUMN:
         render(q.numerator, q.denominator)
     for fam, depth in EXACT_FAMILIES.values():
-        for _ in cli._exact_rows(fam, depth, lambda n, m_n: {}):
+        for _ in cli._exact_rows(fam, fam._sweep(depth), lambda n, m_n: {}):
             pass
     assert decimal.getcontext() is ctx
     assert (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
@@ -150,7 +150,7 @@ def test_integral_families_convert_no_long_int_in_full(fam, monkeypatch):
     # every cell is stepped from the running Decimals by short factors;
     # the ratio chains would convert the 2^k + 1 table's cells in full
     converted = counting_decimal(monkeypatch)
-    rows = list(cli._exact_rows(fam, 60, lambda n, m_n: {}))
+    rows = list(cli._exact_rows(fam, fam._sweep(60), lambda n, m_n: {}))
     assert [row["n"] for row in rows] == list(range(1, 61))
     assert [x for x in converted if x.bit_length() > 64] == []
 
@@ -179,7 +179,7 @@ def test_integral_rows_form_no_int_product_and_divide_by_no_one(fam, remainders,
                                                                  monkeypatch):
     # the rows read the private sweep, never an int record of the terms,
     # take g2 from P_n's remainder only where v > 1, and divide by no g2 = 1
-    expected = list(cli._exact_rows(fam, 60, lambda n, m_n: {}))
+    expected = list(cli._exact_rows(fam, fam._sweep(60), lambda n, m_n: {}))
 
     def refuse(*args):
         raise AssertionError("an int record of the level was formed")
@@ -189,7 +189,7 @@ def test_integral_rows_form_no_int_product_and_divide_by_no_one(fam, remainders,
     monkeypatch.setattr(cli, "_running", refuse, raising=False)
     exact = _CountingContext(cli._EXACT)
     monkeypatch.setattr(cli, "_EXACT", exact)
-    assert list(cli._exact_rows(fam, 60, lambda n, m_n: {})) == expected
+    assert list(cli._exact_rows(fam, fam._sweep(60), lambda n, m_n: {})) == expected
     assert exact.calls["divide_int"] == 0
     assert exact.calls["remainder"] == remainders
     assert exact.calls["multiply"] > 0
@@ -206,9 +206,26 @@ def test_exact_rows_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(construction, "Fraction", counting_fraction)
     monkeypatch.setattr(cli, "Fraction", counting_fraction)
-    rows = list(cli._exact_rows(fam, 60, lambda n, m_n: {}))
+    rows = list(cli._exact_rows(fam, fam._sweep(60), lambda n, m_n: {}))
     assert [row["n"] for row in rows] == list(range(1, 61))
     assert built == []
+
+
+@pytest.mark.parametrize("output", ["text", "csv", "json"])
+def test_quantities_walks_its_levels_once(output, monkeypatch, capsys):
+    # the walk that checks the levels before any row is written also
+    # gives the rows their terms
+    walks, levels = [], SequenceFamily.levels
+
+    def counted(self, depth):
+        walks.append(depth)
+        return levels(self, depth)
+
+    monkeypatch.setattr(SequenceFamily, "levels", counted)
+    assert main(["quantities", "--family", "geometric", "--s", "4", "--t", "2",
+                 "--depth", "30", "--output", output]) == 0
+    assert capsys.readouterr().out
+    assert walks == [31]
 
 
 # -- the JSON writer ---------------------------------------------------------

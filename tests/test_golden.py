@@ -6,6 +6,10 @@ each of the seven commands, and level --sample, in each of the three
 formats (a test checks that none is missing), a failing check, a
 violation outside check, a table family read past its end, a violation
 found only at the level after the last row, and a refused --limit.
+Ten more pin how an argument list is read: a flag with no value at the
+end, "--x -1/3", "--depth -5", "--x=1/3", a repeated --x, an unknown
+flag, a stray token, a bare "--" at the end and before the flags, and an
+unknown command.
 
 The stdout of the cases in golden/digests.json runs to megabytes, with
 exact values of up to about 80,000 bits, so only its length and sha256 are

@@ -46,6 +46,8 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                             text=True, check=True).stdout.split()
     assert "engeldim.cli" in loaded
     assert {"dataclasses", "inspect"} & set(loaded) == set()
+    # argv is read without argparse, which loads gettext
+    assert {"argparse", "gettext"} & set(loaded) == set()
 
 
 def private_names(body: list[ast.stmt]) -> set[str]:
