@@ -30,8 +30,8 @@ each cell from them by short factors, in time linear in its length, with
 no int product of the terms, no long division and no Fraction; a row with
 a non-integral term renders its bounds from their reduced integer pairs,
 each from the cell above it where it is a multiple of it.  A full
-level is printed as a stream of its unreduced endpoint ints, never held:
-each endpoint is reduced by one gcd, and each text line is one f-string.
+level is printed as a stream of its endpoint ints, built in lowest terms
+and never held, and each text line is one f-string.
 
 A command is one row of _COMMANDS, which names its flags and its runner.
 The runner returns a Report, one row source per format, and one writer per
@@ -556,15 +556,6 @@ def _endpoints(texts: Iterable[tuple[str, str]]) -> Iterator[dict]:
     return ({"lo": lo, "hi": hi} for lo, hi in texts)
 
 
-def _lowest_terms(ends: Iterable[tuple[int, int, int, int]]
-                  ) -> Iterator[tuple[int, int, int, int]]:
-    # each interval's (lo_num, lo_den, hi_num, hi_den) in lowest terms, by
-    # one gcd per endpoint
-    for lo_num, lo_den, hi_num, hi_den in ends:
-        g, h = gcd(lo_num, lo_den), gcd(hi_num, hi_den)
-        yield lo_num // g, lo_den // g, hi_num // h, hi_den // h
-
-
 def _report(cfg: SimpleNamespace, text, csv, json, code: int = 0) -> Report:
     """The Report of cfg's command from its own sources: the json document
     is opened by the command and the family, the text by the family line."""
@@ -707,12 +698,11 @@ def _run_level(cfg: SimpleNamespace) -> Report:
             },
         )
 
-    # the level as a stream of unreduced endpoint ints: each endpoint is
-    # reduced by one gcd as it is printed, and no Fraction or RatInterval
-    # is built for it.  A level n >= 1 lies inside (0, 1/2], so every
-    # reduced endpoint and length of it prints as "p/q".  Level 0 is the
-    # one interval [0, 1], whose ends are the only whole numbers, printed
-    # by str(Fraction)
+    # the level as a stream of endpoint ints in lowest terms: no Fraction
+    # or RatInterval is built for an endpoint.  A level n >= 1 lies inside
+    # (0, 1/2], so every endpoint and reduced length of it prints as
+    # "p/q".  Level 0 is the one interval [0, 1], whose ends are the only
+    # whole numbers, printed by str(Fraction)
     level = cfg.family._level(n, cfg.limit)
     whole, fractional = [], level.ends
     if n == 0:
@@ -727,14 +717,14 @@ def _run_level(cfg: SimpleNamespace) -> Report:
         yield "intervals:"
         for lo, hi in whole:
             yield f"  {_interval_str(lo, hi)}"
-        for a, b, c, d in _lowest_terms(fractional):
+        for a, b, c, d in fractional:
             yield f"  [{a}/{b}, {c}/{d}]"
 
     def csv() -> Iterator[list[str]]:
         yield ["index", "lo", "hi", "length"]
         for lo, hi in whole:
             yield ["1", lo, hi, str(level.longest)]
-        for idx, (a, b, c, d) in enumerate(_lowest_terms(fractional), start=1):
+        for idx, (a, b, c, d) in enumerate(fractional, start=1):
             num, den = c * b - a * d, b * d
             g = gcd(num, den)
             yield [str(idx), f"{a}/{b}", f"{c}/{d}", f"{num // g}/{den // g}"]
@@ -750,7 +740,7 @@ def _run_level(cfg: SimpleNamespace) -> Report:
             "max_length": str(level.longest),
             "intervals": _endpoints(itertools.chain(
                 whole,
-                ((f"{a}/{b}", f"{c}/{d}") for a, b, c, d in _lowest_terms(fractional)),
+                ((f"{a}/{b}", f"{c}/{d}") for a, b, c, d in fractional),
             )),
         },
     )

@@ -14,9 +14,10 @@ basic-interval length, and the gap bound epsilon_n that every gap between
 intervals of the same level dominates) are plain Fractions, each formed
 from its reduced integer pair.  One builder reads a level's windows once,
 and forms its count, its minimum gap in closed form, its longest length
-and its basic intervals, a lazy stream of unreduced endpoint ints, only
-when read: the endpoint formula of engel, with its window-order check, is
-applied once to the whole level, and no state of it is built before drawn.
+and its basic intervals, a lazy stream of endpoint ints in lowest terms,
+only when read: the window order is checked once for the whole level, and
+each endpoint is reduced by a gcd with the digit product of a prefix of
+its word only.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, prod
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .engel import (
@@ -536,26 +537,56 @@ class _Level:
 
     @functools.cached_property
     def ends(self) -> Iterator[tuple[int, int, int, int]]:
-        # sorted by left endpoint and unreduced: each reader reduces them once
-        return _prefix_endpoints(_level_states(self.windows[:-1]), *self.windows[-1])
+        # sorted by left endpoint and in lowest terms.  The window order is
+        # checked once for the level: a window n+1 that ends before j_min - 1
+        # fails the endpoint formula's check, which names the first interval
+        *head, (j_min, j_max) = self.windows
+        if j_max < j_min - 1:
+            _prefix_endpoints([_prefix_state(hi for _, hi in head)], j_min, j_max)
+        return _lowest_ends(head, j_min, j_max)
 
 
-def _level_states(windows: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    # the prefix states (a, p) of the words drawn from the windows, one
-    # digit position at a time: a/p is a word's reconstruction, p its digit
-    # product, and appending digit d gives (a*d + 1, p*d).  A larger digit
-    # puts a child further left inside its parent's cylinder, and cylinders
-    # of distinct parents are disjoint, so taking every window's digits in
-    # descending order yields the states sorted by left endpoint.  Nothing
-    # is built until the first state is drawn, and the last digit position
-    # is expanded as the states are drawn, so no count-sized list is held
-    *head, (lo, hi) = windows
+def _lowest_ends(windows: list[tuple[int, int]], j_min: int, j_max: int,
+                 split: int | None = None) -> Iterator[tuple[int, int, int, int]]:
+    # the basic intervals of the words drawn from the windows, window n+1
+    # = [j_min, J], as (lo_num, lo_den, hi_num, hi_den) in lowest terms,
+    # built when the first is drawn.  A word is a head, its digits of
+    # windows 1..split, and a tail, the rest.  A head is its prefix state
+    # (a, p), not reduced: a/p its value, p its digit product, and digit d
+    # appended gives (a*d + 1, p*d).  A tail is (u, v, x, y), the values
+    # of its digits followed by J and by K = j_min - 1, in lowest terms and
+    # built from the right: 1/J and 1/K, and digit d in front of u/v gives
+    # (1 + u/v)/d.  A word's end is (a*v + u)/(p*v), which reduces by
+    # gcd(a*v + u, p) alone, as gcd(a*v + u, v) = gcd(u, v) = 1 (README
+    # proves it); a tail step is the case (a, p) = (1, d).  A larger digit
+    # lies further left, so every window's digits in descending order,
+    # heads outer and tails inner, give the ends sorted by left endpoint.
+    # The split defaults to the first whose head count squared reaches the
+    # level count, so about sqrt(count) heads and tails are held
+    if split is None:
+        sizes = [hi - lo + 1 for lo, hi in windows]
+        count, heads, split = prod(sizes), 1, 0
+        while heads * heads < count:
+            heads *= sizes[split]
+            split += 1
     states = [(0, 1)]
-    for w_lo, w_hi in head:
-        digits = range(w_hi, w_lo - 1, -1)
+    for lo, hi in windows[:split]:
+        digits = range(hi, lo - 1, -1)
         states = [(a * d + 1, p * d) for a, p in states for d in digits]
-    for (a, p), d in itertools.product(states, range(hi, lo - 1, -1)):
-        yield a * d + 1, p * d
+    tails = [(1, j_max, 1, j_min - 1)]
+    for lo, hi in reversed(windows[split:]):
+        stepped = []
+        for d in range(hi, lo - 1, -1):
+            for u, v, x, y in tails:
+                u, x = u + v, x + y
+                g, h = gcd(u, d), gcd(x, d)
+                stepped.append((u // g, v * (d // g), x // h, y * (d // h)))
+        tails = stepped
+    for a, p in states:
+        for u, v, x, y in tails:
+            u, x = a * v + u, a * y + x
+            g, h = gcd(u, p), gcd(x, p)
+            yield u // g, p // g * v, x // h, p // h * y
 
 
 def _longest_length(starts: Iterable[int], j_min: int, j_max: int) -> Fraction:

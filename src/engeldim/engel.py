@@ -252,8 +252,8 @@ def _prefix_endpoints(states: Iterable[tuple[int, int]], j_min: int, j_max: int
 
 def _intervals(ends: Iterable[tuple[int, int, int, int]],
                hi_closed: bool = True) -> list[RatInterval]:
-    # RatIntervals closed on the left from unreduced endpoint ints that
-    # _prefix_endpoints or a level builder has checked in order, without
+    # RatIntervals closed on the left from endpoint ints, reduced or not,
+    # that _prefix_endpoints or a level builder has checked in order, without
     # RatInterval's own check, which for a deep word multiplies long ints:
     # only an empty window makes the endpoints equal, on a basic interval,
     # which is closed

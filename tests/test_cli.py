@@ -615,9 +615,9 @@ class _ByteCounter(io.TextIOBase):
         return len(text)
 
 
-def _streamed_dim_peak(output):
-    cfg = parse_config(["dim", "--family", "geometric", "--s", "2", "--t", "2",
-                        "--n-max", "400", "--output", output])
+def _streamed_peak(argv):
+    # the exit code, the bytes written and the tracemalloc peak of one run
+    cfg = parse_config(argv)
     sink = _ByteCounter()
     tracemalloc.start()
     try:
@@ -628,24 +628,36 @@ def _streamed_dim_peak(output):
     return code, sink.bytes, peak
 
 
+def _streamed_dim_peak(output):
+    return _streamed_peak(["dim", "--family", "geometric", "--s", "2", "--t", "2",
+                           "--n-max", "400", "--output", output])
+
+
+def _flat_level_argv(depth, output="text"):
+    # the level of (2^n, 2), 2^depth intervals
+    return ["level", "--family", "geometric", "--s", "2", "--t", "1",
+            "--t-coef", "2", "--depth", str(depth), "--output", output]
+
+
 @pytest.mark.parametrize("output", ["text", "csv", "json"])
 def test_level_renders_from_endpoint_ints(output):
-    # 8192 intervals, streamed: the level-12 prefix states are held, each
-    # interval's endpoint ints are drawn and reduced only as it is printed,
-    # and the peak is near 0.85 MB; holding the level's endpoint ints as
-    # well peaks near 2.7 MB
-    cfg = parse_config(["level", "--family", "geometric", "--s", "2", "--t", "1",
-                        "--t-coef", "2", "--depth", "13", "--output", output])
-    sink = _ByteCounter()
-    tracemalloc.start()
-    try:
-        code = run(cfg, sink)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # 8192 intervals, streamed: each interval's endpoint ints are drawn
+    # only as it is printed, and holding the level's endpoint ints peaks
+    # near 2.7 MB
+    code, written, peak = _streamed_peak(_flat_level_argv(13, output))
     assert code == 0
-    assert sink.bytes > 10**6
+    assert written > 10**6
     assert peak < 1_200_000
+
+
+def test_a_level_holds_about_the_square_root_of_its_count():
+    # 65,536 intervals: the builder holds 256 head states and 256 tails,
+    # and the peak is near 0.11 MB; holding the level-15 prefix states, as
+    # a builder of the whole words from the left does, peaks near 7.6 MB
+    code, written, peak = _streamed_peak(_flat_level_argv(16))
+    assert code == 0
+    assert written == 12_716_703
+    assert peak < 500_000
 
 
 def test_level_csv_forms_neither_the_min_gap_nor_the_longest_length(monkeypatch):
@@ -721,9 +733,9 @@ def test_level_output_matches_the_fraction_oracle(seed, capsys):
 
 @pytest.mark.parametrize("output", ["text", "csv", "json"])
 def test_level_calls_no_helper_per_interval(output, monkeypatch):
-    # 1024 intervals: the endpoint builder is called once for the level,
-    # and the generic fraction and interval printers only for the header,
-    # never once per interval
+    # 1024 intervals: the builder of the ends in lowest terms is called
+    # once for the level, and the generic fraction and interval printers
+    # only for the header, never once per interval
     calls = collections.Counter()
 
     def count(module, name):
@@ -735,7 +747,7 @@ def test_level_calls_no_helper_per_interval(output, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(construction, "_prefix_endpoints")
+    count(construction, "_lowest_ends")
     count(cli, "Fraction")
     count(cli, "_interval_str")
     cfg = parse_config(["level", "--family", "geometric", "--s", "4", "--t", "2",
@@ -743,7 +755,7 @@ def test_level_calls_no_helper_per_interval(output, monkeypatch):
     out = io.StringIO()
     assert run(cfg, out) == 0
     assert out.getvalue().count("/") > 2 * 1024
-    assert calls["_prefix_endpoints"] == 1
+    assert calls["_lowest_ends"] == 1
     assert max(calls.values()) <= 2, calls
 
 

@@ -379,11 +379,13 @@ def _fails_at_once(*args):
 @pytest.mark.parametrize("source, argv", [
     ("_exact_rows", JSON_RUNS["quantities, integral"]),
     ("_exact_rows", JSON_RUNS["dim, rational"]),
-    ("_lowest_terms", JSON_RUNS["level, table"]),
+    ("_lowest_ends", JSON_RUNS["level, table"]),
 ])
 def test_a_stream_that_fails_on_its_first_row_writes_nothing(
         source, argv, monkeypatch, capsys):
-    monkeypatch.setattr(cli, source, _fails_at_once)
+    # the exact rows are streamed by the CLI, a level's ends by its builder
+    monkeypatch.setattr(cli if hasattr(cli, source) else construction, source,
+                        _fails_at_once)
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", "error: no rows\n")

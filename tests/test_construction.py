@@ -28,6 +28,7 @@ from engeldim import (
     is_admissible,
 )
 from engeldim import construction, dimension
+from engeldim.engel import _prefix_state
 
 
 def random_valid_table(rng: random.Random, depth: int, t_max: int = 8):
@@ -462,6 +463,67 @@ def test_level_enumeration_memory_stays_small(fam21):
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def random_rational_table(rng: random.Random, depth: int):
+    """Random rational (s, t) table whose windows hold 2 to 6 digits,
+    satisfying the window conditions by build."""
+    pairs, s = [], F(rng.randint(28, 160), rng.randint(1, 4))
+    for _ in range(depth):
+        size, frac = rng.choice((2, 2, 2, 3, 3, 4, 5, 6)), s - floor(s)
+        # t = size - frac + delta, delta in [0, 1), floors s + t to
+        # floor(s) + size; t >= 2 needs delta >= frac where size is 2
+        low = max(F(0), frac - (size - 2))
+        t = size - frac + low + (1 - low) * F(rng.randint(0, 11), 12)
+        pairs.append((s, t))
+        s = s + t + F(rng.randint(0, 30), rng.randint(1, 5))
+    return pairs
+
+
+def lowest_ends_families():
+    # closed-form families whose windows hold 2, 3 and 4 or 5 digits (the
+    # last with rational terms), and 40 seeded rational tables
+    rng = random.Random(20261020)
+    return [
+        SequenceFamily.geometric(2, 1, t_coef=2),
+        SequenceFamily.geometric(3, 1, t_coef=3),
+        SequenceFamily.geometric(F(7, 2), 1, s_coef=2, t_coef=F(9, 2)),
+    ] + [SequenceFamily.from_pairs(random_rational_table(rng, 8)) for _ in range(40)]
+
+
+def test_level_ends_are_each_words_fractions_in_lowest_terms():
+    # the oracle is per word: the Fractions of the word followed by J and by
+    # K = j_min - 1.  Every split of the windows gives the same stream
+    checked = 0
+    for fam in lowest_ends_families():
+        for n in range(1, 8):
+            if fam.word_count(n) > 2500:
+                continue
+            j_min, j_max = fam.digit_range(n + 1)
+            expected = []
+            for w in fam.iter_words(n):
+                lo = F(*_prefix_state((*w, j_max)))
+                hi = F(*_prefix_state((*w, j_min - 1)))
+                expected.append((lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+            expected.sort(key=lambda ends: F(*ends[:2]))
+            level = fam._level(n, None)
+            assert list(level.ends) == expected, (fam.description, n)
+            *windows, _ = level.windows
+            for split in range(n + 1):
+                ends = construction._lowest_ends(windows, j_min, j_max, split)
+                assert list(ends) == expected, (fam.description, n, split)
+            checked += 1
+    assert checked > 250
+
+
+def test_a_next_window_that_ends_early_names_the_first_interval():
+    # window n+1 = [10, 7] ends before j_min - 1 = 9, which no walked
+    # family yields.  Reading the ends raises before any is drawn, naming
+    # the interval of the all-maximal word (4, 6), state (7, 24):
+    # [(7*7 + 1)/(24*7), (7*9 + 1)/(24*9)]
+    with pytest.raises(DomainError) as info:
+        construction._Level([(3, 4), (5, 6), (10, 7)]).ends
+    assert str(info.value) == "interval endpoints out of order: 25/84 > 8/27"
 
 
 def test_sample_level_matches_the_per_word_operations(test_families):

@@ -23,9 +23,11 @@ divisors of the row before.  dim as json on the rational family (n_max
 150) pins exact cells that are Fraction text, and a level --sample of 15
 words at level 40 of (4^n, 2^n) as json pins long sampled endpoints.
 They also cover full levels: 8,192 intervals of (2^n, 2) in all three
-formats, 1,100 intervals of the rational-ratio family s_n = 3(10/3)^n,
-t_n = 2(7/3)^n in all three formats, and a pair table with mixed
-branching as text and json, which state the minimum gap.
+formats and its 65,536 intervals of level 16 as text, 1,100 intervals of
+the rational-ratio family s_n = 3(10/3)^n, t_n = 2(7/3)^n in all three
+formats, a pair table with mixed branching as text and json, which state
+the minimum gap, and 1,260 intervals of a rational pair table with 2 to 7
+digits per window as csv.
 
 The same cases and digests are also replayed under every python3.10 to
 python3.13 on PATH, or else installed by pyenv, since the output must not
