@@ -12,12 +12,13 @@ Everything here is exact: windows come from rational floors, endpoints and
 the two a priori bounds (the diameter bound delta_n that dominates every
 basic-interval length, and the gap bound epsilon_n that every gap between
 intervals of the same level dominates) are plain Fractions, each formed
-from its reduced integer pair.  One builder reads a level's windows once,
-and forms its count, its minimum gap in closed form, its longest length
-and its basic intervals, a lazy stream of endpoint ints in lowest terms,
-only when read: the window order is checked once for the whole level, and
-each endpoint is reduced by a gcd with the digit product of a prefix of
-its word only.
+from its reduced integer pair.  One builder reads a level's windows, and
+forms its count, its minimum gap in closed form, its longest length and
+its basic intervals, a lazy stream of endpoint ints in lowest terms, only
+when read; one walk of the windows, each order-checked as it is drawn,
+serves the builders of any ascending depths.  The count is the one
+product of the branch counts, and each endpoint is reduced by a gcd with
+the digit product of a prefix of its word only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import floor, gcd, prod
+from math import floor, gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .engel import (
@@ -343,32 +344,31 @@ class SequenceFamily(_Record):
 
     # -- digit windows --------------------------------------------------
 
-    def _windows(self, depth: int) -> list[tuple[int, int]]:
-        # the windows of levels 1..depth from one walk.  The walked conditions
-        # make the first window start above 2 and each start above the end
-        # of the one before, so every word drawn from them is admissible;
-        # this O(depth) check lets a reader skip validating each word
-        windows = [(lo, hi) for _, _, lo, hi in self.levels(depth)]
+    def _windows(self, depth: int) -> Iterator[tuple[int, int]]:
+        # the windows of levels 1..depth from one walk, each checked when
+        # drawn: the walked conditions make the first start above 2 and each
+        # start above the end of the one before, so every word drawn from
+        # them is admissible, and a reader need not validate each word
         prev_hi = 2
-        for k, (lo, hi) in enumerate(windows, start=1):
+        for k, (_, _, lo, hi) in enumerate(self.levels(depth), start=1):
             if lo < prev_hi:
                 raise InternalError(
                     f"window [{lo}, {hi}] of level {k} starts below {prev_hi}"
                 )
             prev_hi = hi
-        return windows
+            yield lo, hi
 
     def digit_range(self, k: int) -> tuple[int, int]:
         """Inclusive integer digit window (floor(s_k)+1, floor(s_k+t_k))."""
         if k < 1:
             raise DomainError(f"sequence index must be >= 1, got {k}")
-        return self._windows(k)[-1]
+        return list(self._windows(k))[-1]
 
     def word_count(self, n: int) -> int:
         """Exact number of level-n words: the product of the branch counts."""
         if n < 0:
             raise DomainError(f"level must be >= 0, got {n}")
-        return _balanced_prod(hi - lo + 1 for lo, hi in self._windows(n))
+        return _count(self._windows(n))
 
     def iter_words(self, n: int) -> Iterator[DigitWord]:
         """Yield the level-n words in lexicographic order.
@@ -394,12 +394,13 @@ class SequenceFamily(_Record):
             raise DomainError(f"level must be >= 1, got {n}")
         if count < 1:
             raise DomainError(f"count must be >= 1, got {count}")
-        *windows, (j_min, j_max) = self._windows(n + 1)
+        level = self._level(n, None)
+        *windows, (j_min, j_max) = level.windows
         words = [
             tuple(rng.randint(lo, hi) for lo, hi in windows) for _ in range(count)
         ]
         intervals = _intervals(_prefix_endpoints(map(_prefix_state, words), j_min, j_max))
-        return _balanced_prod(hi - lo + 1 for lo, hi in windows), words, intervals
+        return level.count, words, intervals
 
     # -- basic intervals -------------------------------------------------
 
@@ -430,14 +431,24 @@ class SequenceFamily(_Record):
         return _intervals(self._level(n, limit).ends)
 
     def _level(self, n: int, limit: int | None) -> _Level:
-        # the one builder of a single level, from one list of the windows
-        # of levels 1..n+1; the size limit is checked before it is returned
+        # the one-depth case of _levels, its size limit checked before it is returned
         if n < 0:
             raise DomainError(f"level must be >= 0, got {n}")
-        level = _Level(self._windows(n + 1) if n else [])
+        level = next(self._levels([n]))
         if n and limit is not None and level.count > limit:
             raise SizeLimitError(level.count, limit, f"level {n}")
         return level
+
+    def _levels(self, depths: list[int]) -> Iterator[_Level]:
+        # the builder of each of the ascending depths from one walk: level n
+        # reads windows 1..n+1, level 0 none, and no window is drawn before
+        # the level that reads it
+        windows: list[tuple[int, int]] = []
+        walk = self._windows(depths[-1] + 1)
+        for n in depths:
+            if n:
+                windows += itertools.islice(walk, n + 1 - len(windows))
+            yield _Level(windows.copy())
 
     def min_gap(self, n: int) -> Fraction | None:
         """Smallest distance between consecutive level-n intervals, in
@@ -494,7 +505,7 @@ class SequenceFamily(_Record):
             raise DomainError(f"level must be >= 1, got {n}")
         *walk, next_level = self.levels(n + 1)
         s_n, _, lo, hi = walk[-1]
-        count = _balanced_prod(w_hi - w_lo + 1 for _, _, w_lo, w_hi in walk)
+        count = _count(window[2:] for window in walk)
         prod_s = _balanced_prod(s for s, _, _, _ in walk)
         return LevelQuantities(n, count, hi - lo + 1, prod_s, s_n, next_level)
 
@@ -519,7 +530,7 @@ class _Level:
 
     @functools.cached_property
     def count(self) -> int:
-        return _balanced_prod(hi - lo + 1 for lo, hi in self.windows[:-1])
+        return _count(self.windows[:-1])
 
     @functools.cached_property
     def gap(self) -> Fraction | None:
@@ -539,49 +550,44 @@ class _Level:
     def ends(self) -> Iterator[tuple[int, int, int, int]]:
         # sorted by left endpoint and in lowest terms.  The window order is
         # checked once for the level: a window n+1 that ends before j_min - 1
-        # fails the endpoint formula's check, which names the first interval
+        # fails the endpoint formula's check, which names the first interval.
+        # The split holds about sqrt(count) heads and tails
         *head, (j_min, j_max) = self.windows
         if j_max < j_min - 1:
             _prefix_endpoints([_prefix_state(hi for _, hi in head)], j_min, j_max)
-        return _lowest_ends(head, j_min, j_max)
+        split = 0
+        while _count(head[:split]) ** 2 < self.count:
+            split += 1
+        return _lowest_ends(head, j_min, j_max, split)
 
 
 def _lowest_ends(windows: list[tuple[int, int]], j_min: int, j_max: int,
-                 split: int | None = None) -> Iterator[tuple[int, int, int, int]]:
+                 split: int) -> Iterator[tuple[int, int, int, int]]:
     # the basic intervals of the words drawn from the windows, window n+1
     # = [j_min, J], as (lo_num, lo_den, hi_num, hi_den) in lowest terms,
-    # built when the first is drawn.  A word is a head, its digits of
+    # its heads and tails built first.  A word is a head, its digits of
     # windows 1..split, and a tail, the rest.  A head is its prefix state
     # (a, p), not reduced: a/p its value, p its digit product, and digit d
     # appended gives (a*d + 1, p*d).  A tail is (u, v, x, y), the values
-    # of its digits followed by J and by K = j_min - 1, in lowest terms and
-    # built from the right: 1/J and 1/K, and digit d in front of u/v gives
-    # (1 + u/v)/d.  A word's end is (a*v + u)/(p*v), which reduces by
-    # gcd(a*v + u, p) alone, as gcd(a*v + u, v) = gcd(u, v) = 1 (README
-    # proves it); a tail step is the case (a, p) = (1, d).  A larger digit
-    # lies further left, so every window's digits in descending order,
-    # heads outer and tails inner, give the ends sorted by left endpoint.
-    # The split defaults to the first whose head count squared reaches the
-    # level count, so about sqrt(count) heads and tails are held
-    if split is None:
-        sizes = [hi - lo + 1 for lo, hi in windows]
-        count, heads, split = prod(sizes), 1, 0
-        while heads * heads < count:
-            heads *= sizes[split]
-            split += 1
+    # of its digits followed by J and by K = j_min - 1, in lowest terms:
+    # from 1/J and 1/K, each digit d put in front is the head (1, d) joined
+    # to it.  A larger digit lies further left, so digits in descending
+    # order, heads outer, give the ends sorted by left endpoint
     states = [(0, 1)]
     for lo, hi in windows[:split]:
         digits = range(hi, lo - 1, -1)
         states = [(a * d + 1, p * d) for a, p in states for d in digits]
     tails = [(1, j_max, 1, j_min - 1)]
     for lo, hi in reversed(windows[split:]):
-        stepped = []
-        for d in range(hi, lo - 1, -1):
-            for u, v, x, y in tails:
-                u, x = u + v, x + y
-                g, h = gcd(u, d), gcd(x, d)
-                stepped.append((u // g, v * (d // g), x // h, y * (d // h)))
-        tails = stepped
+        tails = list(_ends([(1, d) for d in range(hi, lo - 1, -1)], tails))
+    return _ends(states, tails)
+
+
+def _ends(states: list[tuple[int, int]], tails: list[tuple[int, int, int, int]]
+          ) -> Iterator[tuple[int, int, int, int]]:
+    # each head (a, p) joined to each tail (u, v, x, y), heads outer: the
+    # word's ends (a*v + u)/(p*v) and (a*y + x)/(p*y), each reduced by a gcd
+    # with p alone, as gcd(a*v + u, v) = gcd(u, v) = 1 (README proves it)
     for a, p in states:
         for u, v, x, y in tails:
             u, x = a * v + u, a * y + x
@@ -594,6 +600,11 @@ def _longest_length(starts: Iterable[int], j_min: int, j_max: int) -> Fraction:
     # product of the window starts of levels 1..n and [j_min, j_max]
     # window n+1, 1/(P*(j_min - 1)) - 1/(P*j_max)
     return Fraction(j_max - j_min + 1, _balanced_prod(starts) * (j_min - 1) * j_max)
+
+
+def _count(windows: Iterable[tuple[int, int]]) -> int:
+    # the one product of branch counts: the number of words the windows give
+    return _balanced_prod(hi - lo + 1 for lo, hi in windows)
 
 
 def _balanced_prod(factors: Iterable[int | Fraction]) -> int | Fraction:

@@ -7,7 +7,8 @@ N_n against the diameter bound delta_n.  The lower quotient comes from the
 separation of a level: counts through n-1 against the gap quantity
 m_n * epsilon_n.  Under the window conditions all three converge to the
 same limit; at finite depth they differ, which is why the report carries
-all of them.
+all of them.  The cover fit reads each of its depths' count and longest
+length from the construction's level builder.
 
 Counts, floors, and bounds stay exact; only the final logarithm of each
 exact quantity is floated, to within a few ulp relative (see
@@ -18,12 +19,11 @@ natural base is used.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from math import log
 from typing import NamedTuple, Sequence
 
-from .construction import SequenceFamily, _longest_length
+from .construction import SequenceFamily
 from .errors import DomainError, SizeLimitError
 from .ratmath import log_rational
 
@@ -154,7 +154,8 @@ def empirical_cover_fit(f: SequenceFamily, depths: Sequence[int],
     would contribute the origin), so the least-squares line is constrained
     through the origin and its slope is directly comparable to the
     quotient sequences at the same depths.  One walk of the levels gives
-    every count, and the longest length is formed at wanted depths only.
+    the level builder's record of each depth, and each point is its count
+    and its longest length.
     """
     try:
         depth_list = tuple(map(operator.index, depths))
@@ -164,27 +165,14 @@ def empirical_cover_fit(f: SequenceFamily, depths: Sequence[int],
         raise DomainError("cover fit needs at least two depths")
     if any(d < 1 for d in depth_list):
         raise DomainError(f"depths must be >= 1, got {list(depth_list)}")
-    # one walk serves every depth, and the count is checked against the
-    # limit at every level.  Every window holds at least 2 digits, so counts
-    # rise strictly: once one passes the limit, the smallest wanted depth
-    # at or past its level is the one refused, and the walk stops there
-    wanted = set(depth_list)
+    # one walk serves the depths in ascending order: the first whose count
+    # passes the limit is refused, after any error up to its level n + 1
+    wanted = sorted(set(depth_list))
     points: dict[int, tuple[float, float]] = {}
-    count = 1
-    starts: list[int] = []  # the window starts of levels 1..n
-    # level n's longest length reads window n + 1, so walk to it
-    walk = itertools.pairwise(f.levels(max(depth_list) + 1))
-    for n, ((_, _, lo, hi), (_, _, j_min, j_max)) in enumerate(walk, 1):
-        count *= hi - lo + 1
-        starts.append(lo)
-        if limit is not None and count > limit:
-            refused = min(d for d in wanted if d >= n)
-            # its count from the level builder, whose walk to level
-            # refused + 1 raises any error up to there first
-            raise SizeLimitError(f._level(refused, None).count, limit, f"depth {refused}")
-        if n in wanted:
-            longest = _longest_length(starts, j_min, j_max)
-            points[n] = (-log_rational(longest), log_rational(count))
+    for n, level in zip(wanted, f._levels(wanted)):
+        if limit is not None and level.count > limit:
+            raise SizeLimitError(level.count, limit, f"depth {n}")
+        points[n] = (-log_rational(level.longest), log_rational(level.count))
     xs = [points[d][0] for d in depth_list]
     ys = [points[d][1] for d in depth_list]
     # plain left-to-right sums: sum() of floats is compensated from

@@ -884,6 +884,17 @@ def test_each_operation_evaluates_each_index_at_most_once(name):
     assert repeated == {}
 
 
+def test_a_cover_fit_refusal_evaluates_each_index_at_most_once():
+    # depth 40 is refused at the default limit; its count and the errors
+    # up to its level come from the one walk that found the refusal
+    fam, calls = counting_family()
+    with pytest.raises(SizeLimitError, match="depth 40"):
+        empirical_cover_fit(fam, [2, 40])
+    assert calls
+    repeated = {key: count for key, count in calls.items() if count > 1}
+    assert repeated == {}
+
+
 # public names that walk no levels, each with the reason
 NOT_LEVEL_READERS = {
     "geometric": "constructor",
@@ -915,6 +926,7 @@ WINDOW_READERS = {
     "level_intervals": lambda f: f.level_intervals(1),
     "min_gap": lambda f: f.min_gap(1),
     "max_length": lambda f: f.max_length(1),
+    "empirical_cover_fit": lambda f: empirical_cover_fit(f, [1, 2]),
 }
 
 

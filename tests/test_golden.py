@@ -6,8 +6,12 @@ each of the seven commands, and level --sample, in each of the three
 formats (a test checks that none is missing), a failing check, a
 violation outside check, a table family read past its end, a violation
 found only at the level after the last row, and a refused --limit.
-Ten more pin how an argument list is read: a flag with no value at the
-end, "--x -1/3", "--depth -5", "--x=1/3", a repeated --x, an unknown
+Four pin cover-fit refusals, each with an empty stdout: a middle depth
+refused at --limit 1000, depth 2000 refused at the default limit with a
+count of at least 10^602361, a table read past its end before its
+refusal, and a depth refused from unsorted --depths 3,2,1.  Ten more
+pin how an argument list is read: a flag with no value at the end,
+"--x -1/3", "--depth -5", "--x=1/3", a repeated --x, an unknown
 flag, a stray token, a bare "--" at the end and before the flags, and an
 unknown command.
 

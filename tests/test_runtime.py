@@ -88,10 +88,10 @@ def test_every_private_module_name_is_used_in_the_package():
 
 
 def test_only_the_construction_module_names_the_level_windows_and_count():
-    # _windows lists a level's windows and _balanced_prod forms its count:
-    # any other module reads them through the level builder, so each has
-    # one owner
-    owned = {"_windows", "_balanced_prod"}
+    # _windows lists a level's windows, _balanced_prod forms its count and
+    # _longest_length its longest length: any other module reads them
+    # through the level builder, so each has one owner
+    owned = {"_windows", "_balanced_prod", "_longest_length"}
     named, scanned = {}, []
     for path in sorted(PACKAGE.glob("*.py")):
         scanned.append(path.name)
@@ -108,6 +108,49 @@ def test_only_the_construction_module_names_the_level_windows_and_count():
                 named.setdefault(path.name, set()).add(name)
     assert {"construction.py", "dimension.py", "cli.py"} <= set(scanned)
     assert named == {"construction.py": owned}
+
+
+def is_branch_count(node: ast.expr) -> bool:
+    """Whether node reads `hi - lo + 1`, the digit count of one window."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub))
+
+
+def branch_count_products(tree: ast.Module) -> list[int]:
+    """The lines of each product of window branch counts: _balanced_prod
+    or prod over a comprehension of `hi - lo + 1`, or `*=` of one."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func.attr if isinstance(node.func, ast.Attribute) else (
+                node.func.id if isinstance(node.func, ast.Name) else None)
+            arg = node.args[0]
+            if (func in ("_balanced_prod", "prod")
+                    and isinstance(arg, (ast.GeneratorExp, ast.ListComp))
+                    and is_branch_count(arg.elt)):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+              and is_branch_count(node.value)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_level_count_and_longest_length_are_each_formed_once():
+    # N_n is formed by one statement, which every count reads; the sweep's
+    # running step multiplies by a branch count it is handed, not one it
+    # forms.  The longest length is formed by the level builder alone
+    products, longest = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if lines := branch_count_products(tree):
+            products[path.name] = len(lines)
+        if calls := [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name)
+                     and node.func.id == "_longest_length"]:
+            longest[path.name] = len(calls)
+    assert products == {"construction.py": 1}
+    assert longest == {"construction.py": 1}
 
 
 def exported_names(tree: ast.Module) -> set[str]:
