@@ -24,14 +24,15 @@ are serialized as "p/q" strings and quotient values as shortest round-trip
 decimal strings, so identical configurations produce byte-identical output.
 The exact N_n, delta_n and epsilon_n columns of quantities and dim reach
 tens of thousands of digits, and CPython 3.11 converts an int to decimal in
-quadratic time.  So the row loop reads the family's sweep of terms, keeps
-N_n and s_1...s_n as exact Decimals stepped by m_n and s_n, and renders
-each cell from them by short factors, in time linear in its length, with
-no int product of the terms, no long division and no Fraction; a row with
-a non-integral term renders its bounds from their reduced integer pairs,
-each from the cell above it where it is a multiple of it.  A full
-level is printed as a stream of its endpoint ints, built in lowest terms
-and never held, and each text line is one f-string.
+quadratic time.  So the row loop reads the family's sweep of terms and
+keeps N_n, and s_1...s_n as A/B in lowest terms, as exact Decimals stepped
+by m_n and s_n.  Each bound is x*B/(y*A) for short ints x and y, put in
+lowest terms by gcds of short ints alone, as A and B are read through
+their remainders by short ints; so each cell is A or B times a short
+factor, in time linear in its length, with no int product of the terms,
+no long gcd and no Fraction, whether the terms are integral or not.  A
+full level is printed as a stream of its endpoint ints, built in lowest
+terms and never held, and each text line is one f-string.
 
 A command is one row of _COMMANDS, which names its flags and its runner.
 The runner returns a Report, one row source per format, and one writer per
@@ -64,7 +65,13 @@ from math import gcd
 from types import SimpleNamespace
 from typing import NamedTuple, TextIO
 
-from .construction import DEFAULT_LEVEL_LIMIT, LevelQuantities, SequenceFamily, _running
+from .construction import (
+    DEFAULT_LEVEL_LIMIT,
+    SequenceFamily,
+    _diameter_terms,
+    _gap_terms,
+    _lowest,
+)
 from .dimension import DEFAULT_FIT_LIMIT, empirical_cover_fit, estimate_dimension
 from .engel import DigitWord, _interval_str, cylinder_interval, engel_digits
 from .errors import (
@@ -370,86 +377,59 @@ _EXACT = decimal.Context(decimal.MAX_PREC, Emin=decimal.MIN_EMIN, Emax=decimal.M
                          traps=[decimal.Inexact, decimal.Rounded])
 
 
-def _decimal_column() -> Callable[[int], str]:
-    """Return a function that renders the ints of one column, passed in
-    order, each exactly as str() renders it.
-
-    CPython 3.11 converts an int to decimal in time quadratic in its
-    length.  A bound's numerator or denominator is often an exact
-    multiple of the one in the row above.  So the function keeps the
-    previous value and its exact Decimal, finds their ratio by one long
-    division, and where it is whole derives the next Decimal by one
-    multiplication by it, in time linear in the cell's length; any other
-    value is converted in full.  _exact_rows renders only the bounds of a
-    row with a non-integral term this way.
-    """
-    prev, prev_dec = 0, None
-
-    def render(x: int) -> str:
-        nonlocal prev, prev_dec
-        # one long division: the ratio, and whether it is exact (no zero is)
-        ratio, rest = divmod(x, prev) if x and prev else (0, 1)
-        prev, prev_dec = x, Decimal(x) if rest else _EXACT.multiply(prev_dec, ratio)
-        return str(prev_dec)
-
-    return render
+def _scaled(value: Decimal, divisor: int, factor: int) -> Decimal:
+    # value/divisor*factor, exact, for a divisor of value: no division by
+    # a divisor of 1 and no multiplication by a factor of 1
+    if divisor > 1:
+        value = _EXACT.divide_int(value, divisor)
+    return value if factor == 1 else _EXACT.multiply(value, factor)
 
 
-def _fraction_column() -> Callable[[int, int], str]:
-    """Like _decimal_column for reduced pairs (num, den), den > 0, each
-    rendered as str(Fraction(num, den)) does, with one chain for the
-    numerators and one for the denominators."""
-    numerators, denominators = _decimal_column(), _decimal_column()
-
-    def render(num: int, den: int) -> str:
-        p = numerators(num)
-        return p if den == 1 else f"{p}/{denominators(den)}"
-
-    return render
-
-
-def _exact_rows(
-    family: SequenceFamily, sweep: Iterable[tuple], columns: Callable[[int, int], dict]
-) -> Iterator[dict]:
+def _exact_rows(sweep: Iterable[tuple], columns: Callable[[int, int], dict]
+                ) -> Iterator[dict]:
     """One flat row per level of sweep: n, the command's own columns for
     level n and its branch count m_n, then its exact N_n, delta_n and
     epsilon_n cells.
 
     sweep is family._sweep(depth), or the records it yielded: each level's
-    (n, m_n, s_n, next terms).  No int product of the terms is formed on a
-    row whose terms are integral.
-    N_n, and P_n = s_1...s_n while every s_k so far is integral, are exact
-    Decimals stepped by one short multiplication per row.  Such a row
-    renders its bounds as P_n times the short factors of
-    LevelQuantities._factors, whose g2 divides a short v and is read from
-    P_n's remainder by v, and P_n is divided only by a g2 > 1.  Any other
-    row renders them through _fraction_column from the level's exact
-    record, formed by level_quantities at the first such row and run by
-    one step per row from there.
+    (n, m_n, s_n, next terms).  No int product of the terms and no Fraction
+    is formed.  N_n, and s_1...s_n as A/B in lowest terms, are exact
+    Decimals stepped by one short multiplication per row, B absent while
+    it is 1.  Each step, and each bound x*B/(y*A) with short x and y, is
+    put in lowest terms by construction._lowest, whose gcds are of short
+    ints only: A and B are read through their remainders by short ints,
+    and divided only by a gcd above 1.
 
     The rows are a json row stream (see _write_rows): every str in them,
     the command's own columns included, must be number text."""
-    count, prod, exact = Decimal(1), Decimal(1), None
-    delta, gap = _fraction_column(), _fraction_column()
+    count, a, b = Decimal(1), Decimal(1), None
+
+    def a_mod(v: int) -> int:
+        return int(_EXACT.remainder(a, v))
+
+    def b_mod(v: int) -> int:
+        return int(_EXACT.remainder(b, v))
+
+    def lowest(x: int, y: int) -> tuple[int, int, int, int]:
+        return _lowest(x, y, a_mod, None if b is None else b_mod)
+
+    def cell(terms: tuple[int, int]) -> str:
+        x, g, y, h = lowest(*terms)
+        return f"{x if b is None else _scaled(b, h, x)}/{_scaled(a, g, y)}"
+
     for n, m, s_n, next_level in sweep:
         count = _EXACT.multiply(count, m)
-        # P_n's copy is dropped at the first s_k that is not integral
-        whole = prod is not None and s_n.denominator == 1
-        prod = _EXACT.multiply(prod, s_n.numerator) if whole else None
-        factors = LevelQuantities._factors(
-            n, s_n, next_level, lambda v: int(_EXACT.remainder(prod, v))) if whole else None
-        if exact is not None:
-            exact = _running(exact, n, m, s_n, next_level)
-        elif factors is None:
-            exact = family.level_quantities(n)
-        if factors is None:
-            bounds = delta(*exact._diameter_pair()), gap(*exact._gap_pair())
-        else:
-            u, g2, s2, e = factors
-            den = prod if g2 == 1 else _EXACT.divide_int(prod, g2)
-            bounds = f"{u}/{_EXACT.multiply(den, s2)}", f"1/{_EXACT.multiply(prod, e)}"
+        # s_1...s_n = (A/B)*(num/den): 1/(s_1...s_n) = den*B/(num*A)
+        den, g, num, h = lowest(s_n.denominator, s_n.numerator)
+        a = _scaled(a, g, num)
+        if b is not None:
+            b = _scaled(b, h, den)
+            b = None if b == 1 else b
+        elif den > 1:
+            b = Decimal(den)
         yield {"n": n, **columns(n, m), "N_n": str(count),
-               "delta_n": bounds[0], "epsilon_n": bounds[1]}
+               "delta_n": cell(_diameter_terms(next_level)),
+               "epsilon_n": cell(_gap_terms(n, s_n))}
 
 
 # -- reports and their writers ---------------------------------------------
@@ -751,7 +731,7 @@ def _run_quantities(cfg: SimpleNamespace) -> Report:
     # violation or a short table raise before anything is written, and the
     # rows read the records of that walk
     sweep = list(cfg.family._sweep(cfg.depth))
-    levels = functools.partial(_exact_rows, cfg.family, sweep, lambda n, m_n: {"m_n": m_n})
+    levels = functools.partial(_exact_rows, sweep, lambda n, m_n: {"m_n": m_n})
 
     def text() -> Iterator[str]:
         # each column is right-justified to its widest cell, which is known
@@ -801,7 +781,7 @@ def _run_dim(cfg: SimpleNamespace) -> Report:
     return _report(
         cfg,
         text=text,
-        csv=lambda: _csv_of(_exact_rows(cfg.family, cfg.family._sweep(cfg.n_max), quotients)),
+        csv=lambda: _csv_of(_exact_rows(cfg.family._sweep(cfg.n_max), quotients)),
         json=lambda: {
             "n_max": report.n_max,
             "tail_window": report.tail_window,
@@ -809,7 +789,7 @@ def _run_dim(cfg: SimpleNamespace) -> Report:
             "tail_min_formula": _fmt_quot(report.tail_min_formula),
             "monotone_tail": report.monotone_tail,
             "caveat": report.caveat,
-            "levels": _exact_rows(cfg.family, cfg.family._sweep(cfg.n_max), quotients),
+            "levels": _exact_rows(cfg.family._sweep(cfg.n_max), quotients),
         },
     )
 

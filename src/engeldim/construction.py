@@ -107,50 +107,19 @@ class LevelQuantities(NamedTuple):
         """epsilon_n = 1/(2**(n+3) * s_1...s_n * s_n)."""
         return Fraction(*self._gap_pair())
 
-    @staticmethod
-    def _factors(n: int, s_n: int | Fraction,
-                 next_level: tuple[int | Fraction, int | Fraction, int, int],
-                 prod_mod: Callable[[int], int]) -> tuple[int, int, int, int] | None:
-        # with s_n, s_{n+1}, t_{n+1} and P = s_1...s_n integral, the short
-        # factors (u, g2, s2, e) of delta_n = u/((P/g2)*s2) and epsilon_n =
-        # 1/(P*e) in lowest terms, e = s_n*2**(n+3): as gcd(4t, P*s**2) =
-        # g1*g2 for g1 = gcd(4t, s**2) and g2 = gcd(v, P), v = 4t/g1, no gcd
-        # of a long int is taken.  g2 is gcd(v, prod_mod(v)), prod_mod(v)
-        # being any int congruent to P mod v, so P may be held in any exact
-        # form, and 1 without a call where v = 1.  The caller knows P is
-        # integral; None for any other terms
-        s, t, _, _ = next_level
-        if not s.denominator == t.denominator == s_n.denominator == 1:
-            return None
-        u, s2 = 4 * t.numerator, s.numerator ** 2
-        g1 = gcd(u, s2)
-        v = u // g1
-        g2 = gcd(v, prod_mod(v)) if v > 1 else 1
-        return v // g2, g2, s2 // g1, s_n.numerator << (n + 3)
-
-    def _own_factors(self) -> tuple[int, int, int, int] | None:
-        # _factors of this record, None where s_1...s_n is not integral
-        if self.prod_s.denominator != 1:
-            return None
-        return self._factors(self.n, self.s_n, self.next_level, self.prod_s.numerator.__mod__)
-
     def _diameter_pair(self) -> tuple[int, int]:
         # delta_n as its reduced (num, den), den > 0
-        factors = self._own_factors()
-        if factors is not None:
-            u, g2, s2, _ = factors
-            return u, self.prod_s.numerator // g2 * s2
-        s, t, _, _ = self.next_level
-        bound = Fraction(4 * t, self.prod_s * (s * s))
-        return bound.numerator, bound.denominator
+        return self._lowest_pair(*_diameter_terms(self.next_level))
 
     def _gap_pair(self) -> tuple[int, int]:
-        # epsilon_n as its reduced (num, den), den > 0: the numerator is 1
-        factors = self._own_factors()
-        if factors is not None:
-            return 1, self.prod_s.numerator * factors[-1]
-        bound = Fraction(1, self.prod_s * (self.s_n * 2 ** (self.n + 3)))
-        return bound.numerator, bound.denominator
+        # epsilon_n as its reduced (num, den), den > 0
+        return self._lowest_pair(*_gap_terms(self.n, self.s_n))
+
+    def _lowest_pair(self, x: int, y: int) -> tuple[int, int]:
+        # x*B/(y*A) for s_1...s_n = A/B, as its reduced (num, den)
+        a, b = self.prod_s.numerator, self.prod_s.denominator
+        x, g, y, h = _lowest(x, y, a.__mod__, b.__mod__)
+        return x * (b // h), y * (a // g)
 
 
 class SequenceFamily(_Record):
@@ -476,7 +445,9 @@ class SequenceFamily(_Record):
         length is max_length(n).  Each sequence value is evaluated once and
         N_n and s_1...s_n run from level to level as ints or Fractions;
         level_quantities(n) reads one level alone.  The CLI's exact
-        columns read neither: they step their own exact Decimals.
+        columns read neither, but step their own exact Decimals; all three
+        put each bound in lowest terms by one reduction, _lowest, which
+        reads s_1...s_n only through its remainders by short ints.
         The conditions are verified in the same pass, so a lazy consumer
         can receive the first levels before a ConditionError from a deeper
         one.
@@ -516,6 +487,41 @@ def _running(previous: LevelQuantities | None, n: int, m_n: int, s_n: int | Frac
     from previous, level n - 1's record, or from the empty products at n = 1."""
     count, prod_s = (1, 1) if previous is None else (previous.count, previous.prod_s)
     return LevelQuantities(n, count * m_n, m_n, prod_s * s_n, s_n, next_level)
+
+
+def _diameter_terms(next_level: tuple[int | Fraction, int | Fraction, int, int]
+                    ) -> tuple[int, int]:
+    # delta_n = x*B/(y*A) for s_1...s_n = A/B: with s = s_{n+1} and
+    # t = t_{n+1}, x = 4*t_num*s_den**2 and y = t_den*s_num**2
+    s, t, _, _ = next_level
+    return 4 * t.numerator * s.denominator ** 2, t.denominator * s.numerator ** 2
+
+
+def _gap_terms(n: int, s_n: int | Fraction) -> tuple[int, int]:
+    # epsilon_n = x*B/(y*A) for s_1...s_n = A/B: x = b and y = a*2**(n+3)
+    # for s_n = a/b
+    return s_n.denominator, s_n.numerator << (n + 3)
+
+
+def _lowest(x: int, y: int, a_mod: Callable[[int], int],
+            b_mod: Callable[[int], int] | None) -> tuple[int, int, int, int]:
+    """x*B/(y*A) in lowest terms, for short x, y > 0 and a long A/B > 0 in
+    lowest terms, as (x', g, y', h): the numerator is x'*(B/h) and the
+    denominator y'*(A/g).
+
+    A and B are read only as a_mod(v) and b_mod(v), ints congruent to A
+    and B mod a short v, so they may be held in any exact form; b_mod is
+    None where B = 1, and neither is called where v = 1.  Dividing out
+    gcd(x, y), then g = gcd(x, A) and h = gcd(y, B), leaves the fraction
+    in lowest terms: x' is prime to y' and to A/g, B/h to y', and A to B.
+    The step s_1...s_n = (A/B)*(a/b), as 1/(s_1...s_n) = b*B/(a*A), is the
+    case x = b, y = a.
+    """
+    c = gcd(x, y)
+    x, y = x // c, y // c
+    g = gcd(x, a_mod(x)) if x > 1 else 1
+    h = gcd(y, b_mod(y)) if y > 1 and b_mod is not None else 1
+    return x // g, g, y // h, h
 
 
 class _Level:

@@ -1,7 +1,7 @@
 """The exact N_n, delta_n and epsilon_n cells, rendered from running exact
-Decimals or through chains of them, against str(); and the JSON writer,
-against json.dumps, with the rule it relies on: every str cell of a row
-stream is number text.
+Decimals, against str() of the paper's formulas in Fractions; and the JSON
+writer, against json.dumps, with the rule it relies on: every str cell of a
+row stream is number text.
 """
 
 import collections
@@ -9,6 +9,7 @@ import decimal
 import io
 import json
 import json.encoder
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
@@ -20,23 +21,6 @@ from hypothesis import strategies as st
 from engeldim import DomainError, SequenceFamily, cli, construction
 from engeldim.cli import main
 
-BIG = 3**130_000  # 206,046 bits
-
-INT_COLUMNS = {
-    "rising": [1, 3, 3**10, 3**10 * 7**40, BIG * 7**40],
-    "falling": [BIG * 7**40, 3**10 * 7**40, 3**10, 3, 1],
-    "repeats": [5**1000, 5**1000, 5**1000, 2 * 5**1000, 2 * 5**1000],
-    "breaks": [6, 35, 70, 10, BIG, 3 * BIG, 2, 1, 7, 7 * BIG],
-    "tiny and huge": [2, 2 * BIG, 2, 7, 7 * BIG * 3**10_000, 1, BIG + 1],
-    "signs and zero": [0, 5, 0, -10, 20, -5, 0, 0, 3, -BIG, 3],
-}
-
-FRACTION_COLUMN = [
-    F(1), F(3), F(5, 2), F(5, 4), F(7), F(BIG, 2), F(3 * BIG), F(1, BIG),
-    F(2, 3 * BIG), F(2), F(7, 1), F(-BIG, 5), F(0),
-]
-
-
 @pytest.fixture(autouse=True)
 def unlimited_int_strings():
     # str() of the reference values passes the interpreter's default cap
@@ -46,28 +30,6 @@ def unlimited_int_strings():
     sys.set_int_max_str_digits(old)
 
 
-@pytest.mark.parametrize("name", sorted(INT_COLUMNS))
-def test_decimal_column_matches_str(name):
-    render = cli._decimal_column()
-    values = INT_COLUMNS[name]
-    assert [render(x) for x in values] == [str(x) for x in values]
-
-
-def test_fraction_column_matches_str():
-    render = cli._fraction_column()
-    assert [render(q.numerator, q.denominator) for q in FRACTION_COLUMN] == [
-        str(q) for q in FRACTION_COLUMN
-    ]
-
-
-def test_columns_are_independent():
-    first, second = cli._decimal_column(), cli._decimal_column()
-    assert first(6) == "6"
-    assert second(35) == "35"
-    assert first(12) == "12"
-    assert second(7) == "7"
-
-
 def table(pairs):
     return SequenceFamily.from_pairs(pair.split(":") for pair in pairs.split(","))
 
@@ -75,47 +37,72 @@ def table(pairs):
 # a table keeps its terms as Fractions, here all with denominator 1
 TWO_K_TABLE = SequenceFamily.from_pairs((2**k + 1, 2) for k in range(1, 63))
 
-# (family, depth): integral and rational terms, and tables that mix them
+RATIONAL = SequenceFamily.geometric(F(10, 3), F(7, 3), s_coef=3, t_coef=2)
+
+# integral from level 1 to 3, then rational: with s_1...s_n = A/B in lowest
+# terms and a bound x*B/(y*A) for short x and y, gcd(x, A) > 1 on most rows
+# and gcd(y, B) > 1 on rows 9 and 15, and the step by s_n = a/b has
+# gcd(A, b) > 1 from row 4 and gcd(a, B) > 1 on row 10
+REDUCED_TABLE = table("6:2,10:3,14:2,35/2:2,45/2:12,211/6:2,239/6:2,257/6:2,"
+                      "1351/30:11/2,776/15:9,926/15:2,956/15:9,1121/15:2,"
+                      "1166/15:2,1196/15:2,247/3:12/5")
+
+# (family, depth): integral and rational terms, and tables that mix them.
+# s_1...s_n = A/B, and x, y are the short factors of a bound x*B/(y*A)
 EXACT_FAMILIES = {
     # s_1...s_n is integral again from n = 2, after a non-integral s_1
     "table turning integral": (table("5/2:2,24/5:2,7:2,10:2,13:2"), 4),
-    # g2 = gcd(4*t_2/g1, s_1) = 3 at level 1
+    # gcd(x, A) = 3 for delta_1
     "table with g2 = 3": (table("3:2,7:3,12:2,16:2"), 3),
     # no bound's denominator is a multiple or a divisor of the one above
     "table 2^k + 1": (TWO_K_TABLE, 60),
     "power-geometric": (SequenceFamily.power_geometric(8, F(1, 3)), 60),
-    "rational geometric": (SequenceFamily.geometric(F(10, 3), F(7, 3), s_coef=3,
-                                                    t_coef=2), 40),
-    # v = 4*t_{n+1}/g1 = 2^(n+3) > 1, yet g2 = 1 on every row
+    "rational geometric": (RATIONAL, 40),
+    # x = 2^(n+3) > 1 for delta_n, yet gcd(x, A) = 1 on every row
     "geometric (3^n, 2^n)": (SequenceFamily.geometric(3, 2), 60),
-    # g2 = 3, 4, 4, 2 and 8 at levels 1 to 5
+    # gcd(x, A) = 3, 4, 4, 2 and 8 for delta_1 to delta_5
     "table with g2 > 1": (table("6:2,10:3,15:3,21:6,30:6,45:10,60:2"), 6),
-    # only t_2 is not integral: row 1 leaves the integral path, row 2 is back
+    # only t_2 is not integral: B = 1 on every row, yet delta_1 has y > 1
     "table with a non-integral t": (table("3:2,7:5/2,12:2,16:2,20:2"), 4),
-    # s_5 is not integral: the rows leave the integral path at level 4
+    # s_5 is not integral: B > 1 from level 5, and delta_4 reads s_5
     "table leaving at level 4": (table("3:2,7:3,12:2,16:2,41/2:2,30:2,40:2"), 6),
+    "table with gcd(x, A) > 1 and gcd(y, B) > 1": (REDUCED_TABLE, 15),
 }
+
+
+def rows_of(fam, depth):
+    """The exact rows of levels 1..depth, with no column of a command."""
+    return list(cli._exact_rows(fam._sweep(depth), lambda n, m_n: {}))
+
+
+def fraction_rows(fam, depth):
+    """The rows of levels 1..depth by the paper's formulas, in Fractions of
+    fam.s(k) and fam.t(k): m_k = floor(s_k + t_k) - floor(s_k), N_n the
+    product of the m_k, delta_n = 4*t_{n+1}/(s_1...s_n * s_{n+1}**2) and
+    epsilon_n = 1/(2**(n+3) * s_1...s_n * s_n)."""
+    s, t = fam.s, fam.t
+    rows, count, prod_s = [], 1, F(1)
+    for n in range(1, depth + 1):
+        count *= math.floor(s(n) + t(n)) - math.floor(s(n))
+        prod_s *= s(n)
+        delta = 4 * t(n + 1) / (prod_s * s(n + 1) ** 2)
+        epsilon = 1 / (2 ** (n + 3) * prod_s * s(n))
+        rows.append({"n": n, "N_n": str(count), "delta_n": str(delta),
+                     "epsilon_n": str(epsilon)})
+    return rows
 
 
 @pytest.mark.parametrize("name", EXACT_FAMILIES)
 def test_exact_cells_match_str(name):
     fam, depth = EXACT_FAMILIES[name]
-    levels = fam.iter_level_quantities(depth)
-    assert list(cli._exact_rows(fam, fam._sweep(depth), lambda n, m_n: {})) == [
-        {"n": lq.n, "N_n": str(lq.count), "delta_n": str(lq.diameter_bound),
-         "epsilon_n": str(lq.gap_bound)} for lq in levels
-    ]
+    assert rows_of(fam, depth) == fraction_rows(fam, depth)
 
 
 def test_rendering_leaves_the_thread_context_alone():
     ctx = decimal.getcontext()
     before = (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags))
-    render = cli._fraction_column()
-    for q in FRACTION_COLUMN:
-        render(q.numerator, q.denominator)
     for fam, depth in EXACT_FAMILIES.values():
-        for _ in cli._exact_rows(fam, fam._sweep(depth), lambda n, m_n: {}):
-            pass
+        rows_of(fam, depth)
     assert decimal.getcontext() is ctx
     assert (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
 
@@ -132,25 +119,16 @@ def counting_decimal(monkeypatch):
     return converted
 
 
-def test_full_conversions_happen_only_where_the_chain_breaks(monkeypatch):
-    converted = counting_decimal(monkeypatch)
-    render = cli._decimal_column()
-    values = [3**500, 3**900, 3**700, 5**400, 5**600, 5**600, 2 * 5**600, 7**300, 1]
-    assert [render(x) for x in values] == [str(x) for x in values]
-    # a value that is no multiple of the one above breaks the chain
-    assert converted == [3**500, 3**700, 5**400, 7**300, 1]
-
-
 @pytest.mark.parametrize("fam", [
     SequenceFamily.geometric(4, 2),
     SequenceFamily.power_geometric(8, F(1, 3)),
     TWO_K_TABLE,
 ], ids=["geometric", "power-geometric", "table 2^k + 1"])
 def test_integral_families_convert_no_long_int_in_full(fam, monkeypatch):
-    # every cell is stepped from the running Decimals by short factors;
-    # the ratio chains would convert the 2^k + 1 table's cells in full
+    # every cell is stepped from the running Decimals by short factors,
+    # including the 2^k + 1 table's, which are no multiples of the cells above
     converted = counting_decimal(monkeypatch)
-    rows = list(cli._exact_rows(fam, fam._sweep(60), lambda n, m_n: {}))
+    rows = rows_of(fam, 60)
     assert [row["n"] for row in rows] == list(range(1, 61))
     assert [x for x in converted if x.bit_length() > 64] == []
 
@@ -171,44 +149,75 @@ class _CountingContext:
         return counted
 
 
-@pytest.mark.parametrize("fam, remainders", [
-    (SequenceFamily.geometric(4, 2), 0),  # v = 1 on every row
-    (SequenceFamily.geometric(3, 2), 60),  # v = 2^(n+3), g2 = 1 on every row
-], ids=["(4^n, 2^n)", "(3^n, 2^n)"])
-def test_integral_rows_form_no_int_product_and_divide_by_no_one(fam, remainders,
+@pytest.mark.parametrize("fam, depth, calls", [
+    # x = 1 for every step and bound
+    (SequenceFamily.geometric(4, 2), 60, {"remainder": 0, "divide_int": 0}),
+    # x = 2^(n+3) for delta_n, gcd(x, A) = 1 on every row
+    (SequenceFamily.geometric(3, 2), 60, {"remainder": 60, "divide_int": 0}),
+    (RATIONAL, 60, None),
+    (REDUCED_TABLE, 15, None),
+], ids=["(4^n, 2^n)", "(3^n, 2^n)", "rational geometric", "rational table"])
+def test_integral_rows_form_no_int_product_and_divide_by_no_one(fam, depth, calls,
                                                                  monkeypatch):
-    # the rows read the private sweep, never an int record of the terms,
-    # take g2 from P_n's remainder only where v > 1, and divide by no g2 = 1
-    expected = list(cli._exact_rows(fam, fam._sweep(60), lambda n, m_n: {}))
+    # the rows of every family read the private sweep, never an int record
+    # of the terms; an integral family's rows take a remainder of A only
+    # where x > 1, and divide by no gcd of 1
+    expected = rows_of(fam, depth)
 
     def refuse(*args):
         raise AssertionError("an int record of the level was formed")
 
     monkeypatch.setattr(SequenceFamily, "iter_level_quantities", refuse)
     monkeypatch.setattr(SequenceFamily, "level_quantities", refuse)
-    monkeypatch.setattr(cli, "_running", refuse, raising=False)
+    monkeypatch.setattr(construction, "_running", refuse)
     exact = _CountingContext(cli._EXACT)
     monkeypatch.setattr(cli, "_EXACT", exact)
-    assert list(cli._exact_rows(fam, fam._sweep(60), lambda n, m_n: {})) == expected
-    assert exact.calls["divide_int"] == 0
-    assert exact.calls["remainder"] == remainders
+    assert rows_of(fam, depth) == expected
+    if calls is not None:
+        assert {name: exact.calls[name] for name in calls} == calls
     assert exact.calls["multiply"] > 0
 
 
 def test_exact_rows_build_no_fraction(monkeypatch):
-    # the bounds are rendered from their reduced integer pairs
-    fam = SequenceFamily.geometric(4, 2)
+    # the bounds are rendered from their short factors, for integral and
+    # rational terms alike; the records of the sweep are drawn first, as a
+    # table family's terms are Fractions
     built = []
 
     def counting_fraction(*args):
         built.append(args)
         return F(*args)
 
-    monkeypatch.setattr(construction, "Fraction", counting_fraction)
-    monkeypatch.setattr(cli, "Fraction", counting_fraction)
-    rows = list(cli._exact_rows(fam, fam._sweep(60), lambda n, m_n: {}))
-    assert [row["n"] for row in rows] == list(range(1, 61))
+    for fam, depth in [(SequenceFamily.geometric(4, 2), 60), (RATIONAL, 60),
+                       (REDUCED_TABLE, 15)]:
+        sweep = list(fam._sweep(depth))
+        with monkeypatch.context() as patch:
+            patch.setattr(construction, "Fraction", counting_fraction)
+            patch.setattr(cli, "Fraction", counting_fraction)
+            rows = list(cli._exact_rows(sweep, lambda n, m_n: {}))
+        assert [row["n"] for row in rows] == list(range(1, depth + 1))
     assert built == []
+
+
+def test_rational_rows_take_gcds_of_short_ints_only(monkeypatch):
+    # s_1...s_n = A/B is read only through remainders by short ints, so
+    # every gcd is of short ints: the longest at row 60 is t_den*s_num**2
+    # of level 61, 502 bits, where A has over 6,000
+    sweep = list(RATIONAL._sweep(60))
+    operands, gcd = [], math.gcd
+
+    def counting_gcd(*args):
+        operands.extend(args)
+        return gcd(*args)
+
+    for module in (math, construction, cli):
+        monkeypatch.setattr(module, "gcd", counting_gcd)
+    rows = list(cli._exact_rows(sweep, lambda n, m_n: {}))
+    monkeypatch.undo()
+    assert rows == fraction_rows(RATIONAL, 60)
+    assert operands
+    assert max(x.bit_length() for x in operands) < 1024
+    assert math.prod(RATIONAL.s(k) for k in range(1, 61)).numerator.bit_length() > 6000
 
 
 @pytest.mark.parametrize("output", ["text", "csv", "json"])

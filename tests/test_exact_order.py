@@ -2,7 +2,8 @@
 minimum gap, against plain Fraction arithmetic: min_gap against the
 smallest Fraction gap of an enumerated level, the RatInterval order checks,
 the prefix recurrence behind reconstruct and the cylinders, the reduced
-integer pairs of the level bounds, and the integer Engel orbit."""
+integer pairs of the level bounds and the CLI's exact cells, and the
+integer Engel orbit."""
 
 import itertools
 import math
@@ -16,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from engeldim import DomainError, SequenceFamily  # noqa: E402
+from engeldim import DomainError, SequenceFamily, cli  # noqa: E402
 from engeldim.engel import (  # noqa: E402
     RatInterval,
     _intervals,
@@ -204,12 +205,36 @@ def rational_geometric(draw):
     return SequenceFamily.geometric(s_ratio, t_ratio, s_coef, t_coef), 6
 
 
+@st.composite
+def mixed_tables(draw):
+    """Valid tables of 2 to 8 entries whose terms are integral or have a
+    denominator of 2, 3, 4 or 6, mixed, so that s_1...s_n = A/B often
+    shares factors with the terms of the next levels."""
+
+    def term(low):
+        # a term of at least low, within 12 above it
+        den = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
+        least = math.ceil(low * den)
+        return F(draw(st.integers(min_value=least, max_value=least + 12 * den)), den)
+
+    t = term(2)
+    s = term(t)
+    pairs = [(s, t)]
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        s = term(s + t)
+        t = min(s, term(2))
+        pairs.append((s, t))
+    return SequenceFamily.from_pairs(pairs), len(pairs) - 1
+
+
 def check_bound_pairs(fam, depth):
-    # each pair reduced, den > 0, against the paper's formulas in Fractions
+    # each pair reduced, den > 0, against the paper's formulas in Fractions,
+    # and the CLI's exact cells of the same levels against str() of them
     s, t = fam.s, fam.t
-    prod_s = F(1)
+    count, prod_s, cells = 1, F(1), []
     for lq in fam.iter_level_quantities(depth):
         n = lq.n
+        count *= math.floor(s(n) + t(n)) - math.floor(s(n))
         prod_s *= s(n)
         delta = 4 * t(n + 1) / (prod_s * s(n + 1) ** 2)
         epsilon = 1 / (2 ** (n + 3) * prod_s * s(n))
@@ -218,6 +243,9 @@ def check_bound_pairs(fam, depth):
             assert math.gcd(num, den) == 1
             assert (num, den) == (bound.numerator, bound.denominator)
         assert (lq.diameter_bound, lq.gap_bound) == (delta, epsilon)
+        cells.append({"n": n, "N_n": str(count), "delta_n": str(delta),
+                      "epsilon_n": str(epsilon)})
+    assert list(cli._exact_rows(fam._sweep(depth), lambda n, m_n: {})) == cells
 
 
 @SEEDED
@@ -232,24 +260,34 @@ def test_bound_pairs_of_rational_geometric_families_are_the_reduced_fractions(fa
     check_bound_pairs(*family)
 
 
+@SEEDED
+@given(mixed_tables())
+def test_bound_pairs_of_mixed_tables_are_the_reduced_fractions(table):
+    check_bound_pairs(*table)
+
+
 @pytest.mark.parametrize("fam, branch, delta, epsilon", [
-    # u = 4*t_2 = 16 divides s_2**2 = 256
-    (SequenceFamily.geometric(4, 2), "g1 = u", (1, 64), (1, 256)),
-    # u = 12 is prime to s_2**2 = 25, and shares 3 with s_1 = 3
-    (SequenceFamily.from_pairs([(3, 2), (5, 3)]), "g2 > 1", (4, 25), (1, 144)),
-    # s_1 = 9/2 takes the Fraction quotient
-    (SequenceFamily.from_pairs([(F(9, 2), F(5, 2)), (8, 3)]), "fraction",
-     (1, 24), (1, 324)),
-], ids=["g1-is-u", "g2-above-1", "fraction-fallback"])
+    # x = 4*t_2 = 16 divides y = s_2**2 = 256
+    (SequenceFamily.geometric(4, 2), "x | y", (1, 64), (1, 256)),
+    # x = 12 is prime to y = 25, and shares 3 with A = s_1 = 3
+    (SequenceFamily.from_pairs([(3, 2), (5, 3)]), "gcd(x, A) > 1", (4, 25), (1, 144)),
+    # s_1 = A/B = 9/2: x = 12 and y = 64 leave 3 and 16, which share 3
+    # with A and 2 with B
+    (SequenceFamily.from_pairs([(F(9, 2), F(5, 2)), (8, 3)]),
+     "gcd(x, A) > 1 and gcd(y, B) > 1", (1, 24), (1, 324)),
+], ids=["g1-is-u", "g2-above-1", "both-gcds-above-1"])
 def test_each_branch_of_the_bound_pairs(fam, branch, delta, epsilon):
     lq = fam.level_quantities(1)
     s, t, _, _ = lq.next_level
-    if branch == "fraction":
-        assert lq.prod_s.denominator != 1
+    x, y = 4 * t.numerator * s.denominator ** 2, t.denominator * s.numerator ** 2
+    c = math.gcd(x, y)
+    x, y = x // c, y // c
+    a, b = lq.prod_s.numerator, lq.prod_s.denominator
+    if branch == "x | y":
+        assert x == 1
     else:
-        u, s2, prod_s = int(4 * t), int(s * s), int(lq.prod_s)
-        g1 = math.gcd(u, s2)
-        assert (g1 == u) if branch == "g1 = u" else math.gcd(u // g1, prod_s) > 1
+        assert math.gcd(x, a) > 1
+        assert (math.gcd(y, b) > 1) == branch.endswith("gcd(y, B) > 1")
     check_bound_pairs(fam, 1)
     assert (lq._diameter_pair(), lq._gap_pair()) == (delta, epsilon)
 

@@ -24,8 +24,12 @@ not multiples or divisors of the row before, also as json, with a null
 lower_n, and the integral table s_k = 2^k + 1, t_k = 2 (quantities as
 csv, dim as json), whose bound denominators are neither multiples nor
 divisors of the row before.  dim as json on the rational family (n_max
-150) pins exact cells that are Fraction text, and a level --sample of 15
-words at level 40 of (4^n, 2^n) as json pins long sampled endpoints.
+150) and quantities as json on it (depth 300) pin exact cells of rational
+terms.  So does quantities as csv on a pair table that is integral to
+level 3 and rational after it, whose s_1...s_n = A/B shares factors with
+the short factors x and y of a bound x*B/(y*A): gcd(x, A) > 1 on most
+rows and gcd(y, B) > 1 on two.  A level --sample of 15 words at level 40
+of (4^n, 2^n) as json pins long sampled endpoints.
 They also cover full levels: 8,192 intervals of (2^n, 2) in all three
 formats and its 65,536 intervals of level 16 as text, 1,100 intervals of
 the rational-ratio family s_n = 3(10/3)^n, t_n = 2(7/3)^n in all three

@@ -153,6 +153,36 @@ def test_the_level_count_and_longest_length_are_each_formed_once():
     assert longest == {"construction.py": 1}
 
 
+def bound_statements(node: ast.AST) -> list[str]:
+    """Which bound's defining term node states, if any: epsilon_n's
+    exponent `n + 3`, of a name or an attribute n, or delta_n's `4 * t`,
+    4 times an operand that reads a name t."""
+    if not isinstance(node, ast.BinOp):
+        return []
+    if (isinstance(node.op, ast.Add) and isinstance(node.right, ast.Constant)
+            and node.right.value == 3
+            and "n" in (getattr(node.left, "id", None), getattr(node.left, "attr", None))):
+        return ["n + 3"]
+    if (isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Constant)
+            and node.left.value == 4
+            and any(isinstance(name, ast.Name) and name.id == "t"
+                    for name in ast.walk(node.right))):
+        return ["4 * t"]
+    return []
+
+
+def test_each_bound_is_stated_once():
+    # epsilon_n and delta_n are each formed from one statement of their
+    # short factors, which the bound readers and the exact rows all read
+    stated = {}
+    for name in ("construction.py", "cli.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), name)
+        for node in ast.walk(tree):
+            for term in bound_statements(node):
+                stated.setdefault(term, []).append(name)
+    assert stated == {"n + 3": ["construction.py"], "4 * t": ["construction.py"]}
+
+
 def exported_names(tree: ast.Module) -> set[str]:
     """The names a module's __all__ lists, none when it has no __all__."""
     for node in tree.body:
