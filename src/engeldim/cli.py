@@ -385,20 +385,21 @@ def _scaled(value: Decimal, divisor: int, factor: int) -> Decimal:
     return value if factor == 1 else _EXACT.multiply(value, factor)
 
 
-def _exact_rows(sweep: Iterable[tuple], columns: Callable[[int, int], dict]
+def _exact_rows(sweep: Iterable, columns: Callable[[int, int], dict]
                 ) -> Iterator[dict]:
-    """One flat row per level of sweep: n, the command's own columns for
+    """One flat row per level record: n, the command's own columns for
     level n and its branch count m_n, then its exact N_n, delta_n and
     epsilon_n cells.
 
-    sweep is family._sweep(depth), or the records it yielded: each level's
-    (n, m_n, s_n, next terms).  No int product of the terms and no Fraction
-    is formed.  N_n, and s_1...s_n as A/B in lowest terms, are exact
-    Decimals stepped by one short multiplication per row, B absent while
-    it is 1.  Each step, and each bound x*B/(y*A) with short x and y, is
-    put in lowest terms by construction._lowest, whose gcds are of short
-    ints only: A and B are read through their remainders by short ints,
-    and divided only by a gcd above 1.
+    sweep is family._levels(range(1, depth + 1)), or a list of the level
+    records it yielded, whose n, m_n, s_n and next terms alone are read:
+    no int product of the terms and no Fraction is formed.  N_n, and
+    s_1...s_n as A/B in lowest terms, are exact Decimals stepped by one
+    short multiplication per row, B absent while it is 1.  Each step, and
+    each bound x*B/(y*A) with short x and y, is put in lowest terms by
+    construction._lowest, whose gcds are of short ints only: A and B are
+    read through their remainders by short ints, and divided only by a
+    gcd above 1.
 
     The rows are a json row stream (see _write_rows): every str in them,
     the command's own columns included, must be number text."""
@@ -417,7 +418,8 @@ def _exact_rows(sweep: Iterable[tuple], columns: Callable[[int, int], dict]
         x, g, y, h = lowest(*terms)
         return f"{x if b is None else _scaled(b, h, x)}/{_scaled(a, g, y)}"
 
-    for n, m, s_n, next_level in sweep:
+    for level in sweep:
+        n, m, s_n = level.n, level.m_n, level.s_n
         count = _EXACT.multiply(count, m)
         # s_1...s_n = (A/B)*(num/den): 1/(s_1...s_n) = den*B/(num*A)
         den, g, num, h = lowest(s_n.denominator, s_n.numerator)
@@ -428,7 +430,7 @@ def _exact_rows(sweep: Iterable[tuple], columns: Callable[[int, int], dict]
         elif den > 1:
             b = Decimal(den)
         yield {"n": n, **columns(n, m), "N_n": str(count),
-               "delta_n": cell(_diameter_terms(next_level)),
+               "delta_n": cell(_diameter_terms(level.next_level)),
                "epsilon_n": cell(_gap_terms(n, s_n))}
 
 
@@ -730,7 +732,7 @@ def _run_quantities(cfg: SimpleNamespace) -> Report:
     # the last row reads level depth + 1; walking the levels first makes a
     # violation or a short table raise before anything is written, and the
     # rows read the records of that walk
-    sweep = list(cfg.family._sweep(cfg.depth))
+    sweep = list(cfg.family._levels(range(1, cfg.depth + 1)))
     levels = functools.partial(_exact_rows, sweep, lambda n, m_n: {"m_n": m_n})
 
     def text() -> Iterator[str]:
@@ -781,7 +783,7 @@ def _run_dim(cfg: SimpleNamespace) -> Report:
     return _report(
         cfg,
         text=text,
-        csv=lambda: _csv_of(_exact_rows(cfg.family._sweep(cfg.n_max), quotients)),
+        csv=lambda: _csv_of(_exact_rows(cfg.family._levels(range(1, cfg.n_max + 1)), quotients)),
         json=lambda: {
             "n_max": report.n_max,
             "tail_window": report.tail_window,
@@ -789,7 +791,7 @@ def _run_dim(cfg: SimpleNamespace) -> Report:
             "tail_min_formula": _fmt_quot(report.tail_min_formula),
             "monotone_tail": report.monotone_tail,
             "caveat": report.caveat,
-            "levels": _exact_rows(cfg.family._sweep(cfg.n_max), quotients),
+            "levels": _exact_rows(cfg.family._levels(range(1, cfg.n_max + 1)), quotients),
         },
     )
 

@@ -12,13 +12,13 @@ Everything here is exact: windows come from rational floors, endpoints and
 the two a priori bounds (the diameter bound delta_n that dominates every
 basic-interval length, and the gap bound epsilon_n that every gap between
 intervals of the same level dominates) are plain Fractions, each formed
-from its reduced integer pair.  One builder reads a level's windows, and
-forms its count, its minimum gap in closed form, its longest length and
-its basic intervals, a lazy stream of endpoint ints in lowest terms, only
-when read; one walk of the windows, each order-checked as it is drawn,
-serves the builders of any ascending depths.  The count is the one
-product of the branch counts, and each endpoint is reduced by a gcd with
-the digit product of a prefix of its word only.
+from its reduced integer pair.  One builder makes the records of any
+ascending depths from one walk of the levels, each window order-checked
+as it is drawn; a record forms its count, s_1...s_n, minimum gap, longest
+length and basic intervals, a lazy stream of endpoint ints in lowest
+terms, only when read.  Each product of the terms is stated once, and
+carried by the walk from the last value formed, so one level alone pays
+one balanced product and ascending levels one running product.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import floor, gcd
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .engel import (
     DigitWord,
@@ -60,6 +60,9 @@ DEFAULT_LEVEL_LIMIT = 10**6
 DIVERGES_CERTIFIED = "certified"
 DIVERGES_ASSERTED = "asserted"
 DIVERGES_VIOLATED = "violated-at-depth"
+
+# a level's terms (s_k, t_k, j_min, j_max), j_min..j_max its digit window
+_Terms = tuple[int | Fraction, int | Fraction, int, int]
 
 
 class ConditionReport(NamedTuple):
@@ -95,7 +98,7 @@ class LevelQuantities(NamedTuple):
     m_n: int  # the branch count of level n
     prod_s: int | Fraction  # s_1...s_n
     s_n: int | Fraction
-    next_level: tuple[int | Fraction, int | Fraction, int, int]  # level n+1 (s, t, lo, hi)
+    next_level: _Terms  # the terms of level n+1
 
     @property
     def diameter_bound(self) -> Fraction:
@@ -241,8 +244,7 @@ class SequenceFamily(_Record):
 
     # -- the level walker ------------------------------------------------
 
-    def levels(self, depth: int
-               ) -> Iterator[tuple[int | Fraction, int | Fraction, int, int]]:
+    def levels(self, depth: int) -> Iterator[_Terms]:
         """Yield (s_k, t_k, j_min, j_max) for k = 1..depth in one pass.
 
         j_min..j_max is the digit window floor(s_k)+1..floor(s_k+t_k).  The
@@ -255,8 +257,7 @@ class SequenceFamily(_Record):
         """
         return self._walk(depth)
 
-    def _walk(self, depth: int, first_failures: dict[int, int] | None = None
-              ) -> Iterator[tuple[int | Fraction, int | Fraction, int, int]]:
+    def _walk(self, depth: int, first_failures: dict[int, int] | None = None) -> Iterator[_Terms]:
         # the one statement of both conditions, bounds at n checked before
         # growth at n - 1.  A failure raises, unless a dict is given: then
         # the first failing index of each condition is recorded under its
@@ -313,19 +314,24 @@ class SequenceFamily(_Record):
 
     # -- digit windows --------------------------------------------------
 
-    def _windows(self, depth: int) -> Iterator[tuple[int, int]]:
-        # the windows of levels 1..depth from one walk, each checked when
-        # drawn: the walked conditions make the first start above 2 and each
-        # start above the end of the one before, so every word drawn from
-        # them is admissible, and a reader need not validate each word
+    def _ordered(self, depth: int) -> Iterator[_Terms]:
+        # the levels 1..depth from one walk, each window checked when drawn:
+        # the walked conditions make the first start above 2 and each start
+        # above the end of the one before, so every word drawn from them is
+        # admissible, and a reader need not validate each word
         prev_hi = 2
-        for k, (_, _, lo, hi) in enumerate(self.levels(depth), start=1):
+        for k, level in enumerate(self.levels(depth), start=1):
+            _, _, lo, hi = level
             if lo < prev_hi:
                 raise InternalError(
                     f"window [{lo}, {hi}] of level {k} starts below {prev_hi}"
                 )
             prev_hi = hi
-            yield lo, hi
+            yield level
+
+    def _windows(self, depth: int) -> Iterator[tuple[int, int]]:
+        # the order-checked windows (lo, hi) of levels 1..depth
+        return (level[2:] for level in self._ordered(depth))
 
     def digit_range(self, k: int) -> tuple[int, int]:
         """Inclusive integer digit window (floor(s_k)+1, floor(s_k+t_k))."""
@@ -408,16 +414,15 @@ class SequenceFamily(_Record):
             raise SizeLimitError(level.count, limit, f"level {n}")
         return level
 
-    def _levels(self, depths: list[int]) -> Iterator[_Level]:
-        # the builder of each of the ascending depths from one walk: level n
-        # reads windows 1..n+1, level 0 none, and no window is drawn before
-        # the level that reads it
-        windows: list[tuple[int, int]] = []
-        walk = self._windows(depths[-1] + 1)
+    def _levels(self, depths: Sequence[int]) -> Iterator[_Level]:
+        # the record of each of the ascending depths from one walk: level n
+        # reads levels 1..n+1, level 0 none, and no level is drawn before
+        # the record that reads it
+        levels, last, walk = [], {}, self._ordered(depths[-1] + 1)
         for n in depths:
-            if n:
-                windows += itertools.islice(walk, n + 1 - len(windows))
-            yield _Level(windows.copy())
+            while n and len(levels) <= n:
+                levels.append(next(walk))
+            yield _Level(levels, last, n)
 
     def min_gap(self, n: int) -> Fraction | None:
         """Smallest distance between consecutive level-n intervals, in
@@ -439,58 +444,32 @@ class SequenceFamily(_Record):
     # -- a priori bounds ---------------------------------------------------
 
     def iter_level_quantities(self, depth: int) -> Iterator[LevelQuantities]:
-        """Yield the quantities of levels 1..depth in one incremental sweep.
+        """Yield the quantities of levels 1..depth from one walk.
 
-        Each record's count and bounds come from this walk; the longest
-        length is max_length(n).  Each sequence value is evaluated once and
-        N_n and s_1...s_n run from level to level as ints or Fractions;
-        level_quantities(n) reads one level alone.  The CLI's exact
-        columns read neither, but step their own exact Decimals; all three
-        put each bound in lowest terms by one reduction, _lowest, which
-        reads s_1...s_n only through its remainders by short ints.
-        The conditions are verified in the same pass, so a lazy consumer
-        can receive the first levels before a ConditionError from a deeper
-        one.
+        Each is its level's record from the level builder, whose walk
+        carries N_n and s_1...s_n, as ints or Fractions, from level to
+        level; the longest length is max_length(n).  Each sequence value
+        is evaluated once, and each bound is put in lowest terms by one
+        reduction, _lowest, which reads s_1...s_n only through its
+        remainders by short ints.  The conditions are verified in the same
+        pass, so a lazy consumer can receive the first levels before a
+        ConditionError from a deeper one.
         """
-        quantities = None
-        for level in self._sweep(depth):
-            quantities = _running(quantities, *level)
-            yield quantities
-
-    def _sweep(self, depth: int) -> Iterator[
-            tuple[int, int, int | Fraction, tuple[int | Fraction, int | Fraction, int, int]]]:
-        # (n, m_n, s_n, next_level) for levels 1..depth from one walk: a
-        # level's record without its running products
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
-        # level n's bounds read window n + 1, so walk to it
-        walk = itertools.pairwise(self.levels(depth + 1))
-        for n, ((s_n, _, lo, hi), next_level) in enumerate(walk, 1):
-            yield n, hi - lo + 1, s_n, next_level
+        for level in self._levels(range(1, depth + 1)):
+            yield level.quantities
 
     def level_quantities(self, n: int) -> LevelQuantities:
         """The quantities of level n alone, equal to the n-th record of
-        iter_level_quantities, from one walk of levels 1..n+1: N_n and
-        s_1...s_n are each one balanced product, not a running one."""
+        iter_level_quantities, from the level builder's one walk of levels
+        1..n+1: N_n and s_1...s_n are each one balanced product."""
         if n < 1:
             raise DomainError(f"level must be >= 1, got {n}")
-        *walk, next_level = self.levels(n + 1)
-        s_n, _, lo, hi = walk[-1]
-        count = _count(window[2:] for window in walk)
-        prod_s = _balanced_prod(s for s, _, _, _ in walk)
-        return LevelQuantities(n, count, hi - lo + 1, prod_s, s_n, next_level)
+        return self._level(n, None).quantities
 
 
-def _running(previous: LevelQuantities | None, n: int, m_n: int, s_n: int | Fraction,
-             next_level: tuple[int | Fraction, int | Fraction, int, int]) -> LevelQuantities:
-    """Level n's record, its N_n and s_1...s_n one step of a running product
-    from previous, level n - 1's record, or from the empty products at n = 1."""
-    count, prod_s = (1, 1) if previous is None else (previous.count, previous.prod_s)
-    return LevelQuantities(n, count * m_n, m_n, prod_s * s_n, s_n, next_level)
-
-
-def _diameter_terms(next_level: tuple[int | Fraction, int | Fraction, int, int]
-                    ) -> tuple[int, int]:
+def _diameter_terms(next_level: _Terms) -> tuple[int, int]:
     # delta_n = x*B/(y*A) for s_1...s_n = A/B: with s = s_{n+1} and
     # t = t_{n+1}, x = 4*t_num*s_den**2 and y = t_den*s_num**2
     s, t, _, _ = next_level
@@ -525,32 +504,58 @@ def _lowest(x: int, y: int, a_mod: Callable[[int], int],
 
 
 class _Level:
-    """Level n of a family, from the windows of levels 1..n+1.  count, gap
-    (the minimum gap), longest (the longest length) and ends (the basic
-    intervals as a lazy stream) are each formed once, when first read."""
+    """Level n, a record of a walk that has drawn levels 1..n+1, level k's
+    terms at index k - 1.  count, quantities, gap (the minimum gap), longest
+    (the longest length) and ends (the basic intervals as a lazy stream)
+    are each formed once, when first read."""
 
-    def __init__(self, windows: list[tuple[int, int]]):
-        self.windows = windows
-        if not windows:  # level 0, [0, 1], is given; its count is the empty product
+    def __init__(self, levels: list[_Terms], last: dict, n: int):
+        self.levels, self.last, self.n = levels, last, n
+        if n:
+            self.s_n, _, lo, hi = levels[n - 1]
+            self.next_level = levels[n]
+            self.m_n = hi - lo + 1
+        else:  # level 0, [0, 1], is given; its count is the empty product
             self.gap, self.longest, self.ends = None, Fraction(1), iter([(0, 1, 1, 1)])
+
+    def _product(self, form: Callable[[list[_Terms]], int | Fraction], n: int) -> int | Fraction:
+        # form's product over levels 1..n: last[form], the last one formed
+        # by a record of the walk, at level k <= n, times form's product over
+        # levels k+1..n; a read below it starts again from level 1
+        k, value = self.last.get(form, (0, 1))
+        if k > n:
+            k, value = 0, 1
+        value *= form(self.levels[k:n])
+        self.last[form] = n, value
+        return value
+
+    @property
+    def windows(self) -> list[tuple[int, int]]:
+        # the windows of levels 1..n+1, for n >= 1
+        return [level[2:] for level in self.levels[:self.n + 1]]
 
     @functools.cached_property
     def count(self) -> int:
-        return _count(self.windows[:-1])
+        return self._product(_count, self.n)
+
+    @functools.cached_property
+    def quantities(self) -> LevelQuantities:
+        return LevelQuantities(self.n, self.count, self.m_n, self._product(_s_product, self.n),
+                               self.s_n, self.next_level)
 
     @functools.cached_property
     def gap(self) -> Fraction | None:
         # window n = [lo, hi], window n+1 = [j_min, J], K = j_min - 1 and
         # P = hi_1...hi_{n-1}: the min gap is the level's first gap,
         # (J*(K+1) - hi*(J-K)) / (J*K*hi*(hi-1)*P), as README proves
-        *head, (_, hi), (j_min, j_max) = self.windows
+        (*_, hi), (*_, j_min, j_max) = self.levels[self.n - 1:self.n + 1]
         k = j_min - 1
         return Fraction(j_max * (k + 1) - hi * (j_max - k),
-                        j_max * k * hi * (hi - 1) * _balanced_prod(h for _, h in head))
+                        j_max * k * hi * (hi - 1) * self._product(_end_product, self.n - 1))
 
     @functools.cached_property
     def longest(self) -> Fraction:
-        return _longest_length((lo for lo, _ in self.windows[:-1]), *self.windows[-1])
+        return _longest_length(self._product(_start_product, self.n), *self.next_level[2:])
 
     @functools.cached_property
     def ends(self) -> Iterator[tuple[int, int, int, int]]:
@@ -601,16 +606,30 @@ def _ends(states: list[tuple[int, int]], tails: list[tuple[int, int, int, int]]
             yield u // g, p // g * v, x // h, p // h * y
 
 
-def _longest_length(starts: Iterable[int], j_min: int, j_max: int) -> Fraction:
-    # the longest level-n length, the all-minimal word's: with P the
-    # product of the window starts of levels 1..n and [j_min, j_max]
+def _longest_length(corner: int, j_min: int, j_max: int) -> Fraction:
+    # the longest level-n length, the all-minimal word's: with P = corner
+    # the product of the window starts of levels 1..n and [j_min, j_max]
     # window n+1, 1/(P*(j_min - 1)) - 1/(P*j_max)
-    return Fraction(j_max - j_min + 1, _balanced_prod(starts) * (j_min - 1) * j_max)
+    return Fraction(j_max - j_min + 1, corner * (j_min - 1) * j_max)
 
 
-def _count(windows: Iterable[tuple[int, int]]) -> int:
-    # the one product of branch counts: the number of words the windows give
-    return _balanced_prod(hi - lo + 1 for lo, hi in windows)
+def _count(windows: Iterable[tuple]) -> int:
+    # the one product of branch counts: the number of words the windows
+    # give, each a window (lo, hi) or a level's (s, t, lo, hi)
+    return _balanced_prod(hi - lo + 1 for *_, lo, hi in windows)
+
+
+def _s_product(levels: list[_Terms]) -> int | Fraction:
+    # s_1...s_n; the two below form the products of window starts and ends
+    return _balanced_prod(s for s, _, _, _ in levels)
+
+
+def _start_product(levels: list[_Terms]) -> int:
+    return _balanced_prod(lo for _, _, lo, _ in levels)
+
+
+def _end_product(levels: list[_Terms]) -> int:
+    return _balanced_prod(hi for _, _, _, hi in levels)
 
 
 def _balanced_prod(factors: Iterable[int | Fraction]) -> int | Fraction:

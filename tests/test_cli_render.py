@@ -72,7 +72,7 @@ EXACT_FAMILIES = {
 
 def rows_of(fam, depth):
     """The exact rows of levels 1..depth, with no column of a command."""
-    return list(cli._exact_rows(fam._sweep(depth), lambda n, m_n: {}))
+    return list(cli._exact_rows(fam._levels(range(1, depth + 1)), lambda n, m_n: {}))
 
 
 def fraction_rows(fam, depth):
@@ -159,9 +159,10 @@ class _CountingContext:
 ], ids=["(4^n, 2^n)", "(3^n, 2^n)", "rational geometric", "rational table"])
 def test_integral_rows_form_no_int_product_and_divide_by_no_one(fam, depth, calls,
                                                                  monkeypatch):
-    # the rows of every family read the private sweep, never an int record
-    # of the terms; an integral family's rows take a remainder of A only
-    # where x > 1, and divide by no gcd of 1
+    # the rows of every family read the level records' terms, never a
+    # product the records carry, such as the int s_1...s_n; an integral
+    # family's rows take a remainder of A only where x > 1, and divide by
+    # no gcd of 1
     expected = rows_of(fam, depth)
 
     def refuse(*args):
@@ -169,7 +170,8 @@ def test_integral_rows_form_no_int_product_and_divide_by_no_one(fam, depth, call
 
     monkeypatch.setattr(SequenceFamily, "iter_level_quantities", refuse)
     monkeypatch.setattr(SequenceFamily, "level_quantities", refuse)
-    monkeypatch.setattr(construction, "_running", refuse)
+    monkeypatch.setattr(construction._Level, "_product", refuse)
+    monkeypatch.setattr(construction, "_s_product", refuse)
     exact = _CountingContext(cli._EXACT)
     monkeypatch.setattr(cli, "_EXACT", exact)
     assert rows_of(fam, depth) == expected
@@ -180,8 +182,8 @@ def test_integral_rows_form_no_int_product_and_divide_by_no_one(fam, depth, call
 
 def test_exact_rows_build_no_fraction(monkeypatch):
     # the bounds are rendered from their short factors, for integral and
-    # rational terms alike; the records of the sweep are drawn first, as a
-    # table family's terms are Fractions
+    # rational terms alike; the level records are drawn first, as a table
+    # family's terms are Fractions
     built = []
 
     def counting_fraction(*args):
@@ -190,11 +192,11 @@ def test_exact_rows_build_no_fraction(monkeypatch):
 
     for fam, depth in [(SequenceFamily.geometric(4, 2), 60), (RATIONAL, 60),
                        (REDUCED_TABLE, 15)]:
-        sweep = list(fam._sweep(depth))
+        records = list(fam._levels(range(1, depth + 1)))
         with monkeypatch.context() as patch:
             patch.setattr(construction, "Fraction", counting_fraction)
             patch.setattr(cli, "Fraction", counting_fraction)
-            rows = list(cli._exact_rows(sweep, lambda n, m_n: {}))
+            rows = list(cli._exact_rows(records, lambda n, m_n: {}))
         assert [row["n"] for row in rows] == list(range(1, depth + 1))
     assert built == []
 
@@ -203,7 +205,7 @@ def test_rational_rows_take_gcds_of_short_ints_only(monkeypatch):
     # s_1...s_n = A/B is read only through remainders by short ints, so
     # every gcd is of short ints: the longest at row 60 is t_den*s_num**2
     # of level 61, 502 bits, where A has over 6,000
-    sweep = list(RATIONAL._sweep(60))
+    records = list(RATIONAL._levels(range(1, 61)))
     operands, gcd = [], math.gcd
 
     def counting_gcd(*args):
@@ -212,7 +214,7 @@ def test_rational_rows_take_gcds_of_short_ints_only(monkeypatch):
 
     for module in (math, construction, cli):
         monkeypatch.setattr(module, "gcd", counting_gcd)
-    rows = list(cli._exact_rows(sweep, lambda n, m_n: {}))
+    rows = list(cli._exact_rows(records, lambda n, m_n: {}))
     monkeypatch.undo()
     assert rows == fraction_rows(RATIONAL, 60)
     assert operands

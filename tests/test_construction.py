@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 import types
 import weakref
@@ -18,6 +19,7 @@ from engeldim import (
     EvaluationError,
     InternalError,
     InvalidWordError,
+    LevelQuantities,
     RatInterval,
     SequenceFamily,
     SizeLimitError,
@@ -521,8 +523,9 @@ def test_a_next_window_that_ends_early_names_the_first_interval():
     # family yields.  Reading the ends raises before any is drawn, naming
     # the interval of the all-maximal word (4, 6), state (7, 24):
     # [(7*7 + 1)/(24*7), (7*9 + 1)/(24*9)]
+    levels = [(3, 2, 3, 4), (5, 2, 5, 6), (10, 2, 10, 7)]
     with pytest.raises(DomainError) as info:
-        construction._Level([(3, 4), (5, 6), (10, 7)]).ends
+        construction._Level(levels, {}, 2).ends
     assert str(info.value) == "interval endpoints out of order: 25/84 > 8/27"
 
 
@@ -626,17 +629,73 @@ def test_level_quantities_consistency(fam42):
 
 
 def test_iter_level_quantities_matches_single_level_calls(fam21):
-    # the sweep's running products against one level's balanced products,
-    # on integral terms, on rational terms and on a table's Fractions
+    # the sweep's carried products against one level's balanced products,
+    # on integral terms, on rational terms and on the Fractions of an
+    # integral and of a rational table
     rational = SequenceFamily.geometric(F(10, 3), F(7, 3), 3, 2)
     table = SequenceFamily.from_pairs(random_valid_table(random.Random(23), 9))
-    for family, depth in ((fam21, 6), (rational, 40), (table, 8)):
+    for family, depth in ((fam21, 6), (rational, 40), (table, 8),
+                          (rational_table_family(), 10)):
         swept = list(family.iter_level_quantities(depth))
         assert [q.n for q in swept] == list(range(1, depth + 1))
         for quantities in swept:
             single = family.level_quantities(quantities.n)
             assert single == quantities
             assert type(single.prod_s) is type(quantities.prod_s)
+
+
+def fresh_reads(fam: SequenceFamily, n: int) -> dict:
+    """Level n's count, longest length, minimum gap and LevelQuantities,
+    each from math.prod and Fraction of fam.s(k), fam.t(k) and the
+    windows of one fresh _windows walk, as the paper states them."""
+    if n == 0:
+        return {"count": 1, "longest": F(1), "gap": None}
+    windows = list(fam._windows(n + 1))
+    (lo, hi), (j_min, j_max) = windows[n - 1:]
+    k = j_min - 1
+    corner = math.prod(a for a, _ in windows[:n])
+    count = math.prod(b - a + 1 for a, b in windows[:n])
+    return {
+        "count": count,
+        "longest": F(1, corner * k) - F(1, corner * j_max),
+        "gap": F(j_max * (k + 1) - hi * (j_max - k),
+                 j_max * k * hi * (hi - 1) * math.prod(b for _, b in windows[:n - 1])),
+        "quantities": LevelQuantities(
+            n, count, hi - lo + 1,
+            math.prod((fam.s(i) for i in range(1, n + 1)), start=F(1)), fam.s(n),
+            (fam.s(n + 1), fam.t(n + 1), j_min, j_max)),
+    }
+
+
+def test_carried_products_equal_fresh_ones():
+    # the records of one walk carry their products from the last one
+    # formed; whatever each record reads, in ascending or any other
+    # order, equals the level's products formed afresh
+    rng = random.Random(32)
+    families = [SequenceFamily.geometric(4, 2),
+                SequenceFamily.geometric(F(10, 3), F(7, 3), 3, 2),
+                SequenceFamily.from_pairs(random_rational_table(rng, 62))]
+    depth_lists = [list(range(1, 41)), sorted(rng.sample(range(1, 61), 8)),
+                   sorted(rng.choices(range(1, 31), k=15)),
+                   [0, 0] + sorted(rng.sample(range(1, 45), 6))]
+    reads, checked = ["count", "longest", "gap", "quantities", None], 0
+    for fam in families:
+        fresh = {n: fresh_reads(fam, n) for n in range(61)}
+        for depths in depth_lists:
+            records = []
+            for n, level in zip(depths, fam._levels(depths)):
+                records.append((n, level))
+                name = rng.choice(reads)
+                if name is not None and name in fresh[n]:
+                    assert getattr(level, name) == fresh[n][name], (n, name)
+                    checked += 1
+            # held records read out of order, below products formed deeper
+            for n, level in rng.sample(records, len(records)):
+                for name in rng.sample(reads[:-1], 2):
+                    if name in fresh[n]:
+                        assert getattr(level, name) == fresh[n][name], (n, name)
+                        checked += 1
+    assert checked > 500
 
 
 def test_level_quantities_reads_no_level_sweep(monkeypatch, fam42):
@@ -787,6 +846,35 @@ def test_cover_fit_reads_no_level_sweep(monkeypatch, fam42):
     assert empirical_cover_fit(fam42, [2, 3, 40], limit=None) == expected
     with pytest.raises(SizeLimitError):
         empirical_cover_fit(fam42, [2, 40])
+
+
+def test_dense_cover_fit_takes_each_window_into_each_product_once(monkeypatch, fam22):
+    # the fit's records carry the count and the product of the window
+    # starts from the depth before, so at depths 100, 200, ..., 2000 each
+    # branch count 2^k and each start 2^k + 1 is a factor once, where
+    # fresh products per depth would take about 21,000 of each
+    factors = []
+
+    def recording_prod(values):
+        values = list(values)
+        factors.extend(values)
+        return math.prod(values)
+
+    monkeypatch.setattr(construction, "_balanced_prod", recording_prod)
+    empirical_cover_fit(fam22, range(100, 2001, 100), limit=None)
+    counts = collections.Counter(factors)
+    assert max(counts.values()) == 1
+    assert set(counts) == ({2**k for k in range(1, 2001)}
+                           | {2**k + 1 for k in range(1, 2001)})
+
+
+def test_cover_fit_reads_more_records_than_the_recursion_limit():
+    # the carried products are formed in a loop, not by a chain of
+    # records each asking the one before
+    fam = SequenceFamily.from_function(lambda n: 3 * n, lambda n: 2)
+    result = empirical_cover_fit(fam, range(1, 1501), limit=None)
+    assert 1500 > sys.getrecursionlimit()
+    assert result.log_counts[-1] == pytest.approx(1500 * math.log(2))
 
 
 # -- randomized table families -------------------------------------------------------

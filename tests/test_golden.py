@@ -35,7 +35,11 @@ formats and its 65,536 intervals of level 16 as text, 1,100 intervals of
 the rational-ratio family s_n = 3(10/3)^n, t_n = 2(7/3)^n in all three
 formats, a pair table with mixed branching as text and json, which state
 the minimum gap, and 1,260 intervals of a rational pair table with 2 to 7
-digits per window as csv.
+digits per window as csv.  Three pin cover-fit on many depths: (2^n, 2)
+at depths 1..60 then 7, 60, 33, dense, unsorted and repeated, as json;
+the rational family at depths 40, 5, 25, 5, 12 under a limit of 10^320,
+its count at depth 40 of 314 digits, as csv; and a seeded rational pair
+table of 41 entries at ascending depths 1 to 40 as text.
 
 The same cases and digests are also replayed under every python3.10 to
 python3.13 on PATH, or else installed by pyenv, since the output must not

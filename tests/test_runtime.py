@@ -136,11 +136,40 @@ def branch_count_products(tree: ast.Module) -> list[int]:
     return lines
 
 
+# the factor a comprehension under a product names, by the product it forms
+TERM_FACTORS = {"s": "s_1...s_n", "lo": "window starts", "hi": "window ends"}
+
+
+def term_products(tree: ast.Module) -> list[str]:
+    """Which product of level terms each statement forms: _balanced_prod
+    or prod over a comprehension of a bare s, lo or hi, or a `*` or `*=`
+    of a bare s_n, a step of s_1...s_n."""
+    kinds = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func.attr if isinstance(node.func, ast.Attribute) else (
+                node.func.id if isinstance(node.func, ast.Name) else None)
+            arg = node.args[0]
+            if (func in ("_balanced_prod", "prod")
+                    and isinstance(arg, (ast.GeneratorExp, ast.ListComp))
+                    and isinstance(arg.elt, ast.Name) and arg.elt.id in TERM_FACTORS):
+                kinds.append(TERM_FACTORS[arg.elt.id])
+        operands = ([node.left, node.right] if isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Mult) else
+                    [node.value] if isinstance(node, ast.AugAssign)
+                    and isinstance(node.op, ast.Mult) else [])
+        kinds += ["s_1...s_n" for operand in operands
+                  if isinstance(operand, ast.Name) and operand.id == "s_n"]
+    return kinds
+
+
 def test_the_level_count_and_longest_length_are_each_formed_once():
-    # N_n is formed by one statement, which every count reads; the sweep's
-    # running step multiplies by a branch count it is handed, not one it
-    # forms.  The longest length is formed by the level builder alone
-    products, longest = {}, {}
+    # N_n is formed by one statement, which every count reads; the exact
+    # rows' step multiplies by a branch count it is handed, not one it
+    # forms.  The longest length is formed by the level builder alone, and
+    # s_1...s_n, the window starts and the window ends each by one
+    # statement, which the walk's records carry from level to level
+    products, longest, terms = {}, {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         if lines := branch_count_products(tree):
@@ -149,8 +178,20 @@ def test_the_level_count_and_longest_length_are_each_formed_once():
                      and isinstance(node.func, ast.Name)
                      and node.func.id == "_longest_length"]:
             longest[path.name] = len(calls)
+        if kinds := term_products(tree):
+            terms[path.name] = sorted(kinds)
     assert products == {"construction.py": 1}
     assert longest == {"construction.py": 1}
+    assert terms == {"construction.py": sorted(TERM_FACTORS.values())}
+    # the one other product of the s_k is the exact rows' Decimal step,
+    # the one function of the CLI that reads the terms s_n
+    tree = ast.parse((PACKAGE / "cli.py").read_text(), "cli.py")
+    readers = {function.name for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "s_n" and node.attr in ("numerator", "denominator")}
+    assert readers == {"_exact_rows"}
 
 
 def bound_statements(node: ast.AST) -> list[str]:
