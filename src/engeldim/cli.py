@@ -24,15 +24,15 @@ are serialized as "p/q" strings and quotient values as shortest round-trip
 decimal strings, so identical configurations produce byte-identical output.
 The exact N_n, delta_n and epsilon_n columns of quantities and dim reach
 tens of thousands of digits, and CPython 3.11 converts an int to decimal in
-quadratic time.  So the row loop reads the family's sweep of terms and
-keeps N_n, and s_1...s_n as A/B in lowest terms, as exact Decimals stepped
-by m_n and s_n.  Each bound is x*B/(y*A) for short ints x and y, put in
-lowest terms by gcds of short ints alone, as A and B are read through
-their remainders by short ints; so each cell is A or B times a short
-factor, in time linear in its length, with no int product of the terms,
-no long gcd and no Fraction, whether the terms are integral or not.  A
-full level is printed as a stream of its endpoint ints, built in lowest
-terms and never held, and each text line is one f-string.
+quadratic time.  So the row loop keeps N_n, and s_1...s_n as A/B in lowest
+terms, as exact Decimals stepped by m_n and s_n, the product one level
+ahead, so that delta_n reads s_{n+1} once, not squared.  Each bound is
+x*B/(y*A) for short ints x and y, put in lowest terms by gcds of short
+ints alone, as A and B are read through their remainders by short ints;
+so each cell is A or B times a short factor, in time linear in its
+length, with no int product of the terms, no long gcd and no Fraction.
+A full level is printed as a stream of its endpoint ints, built in
+lowest terms and never held, and each text line is one f-string.
 
 A command is one row of _COMMANDS, which names its flags and its runner.
 The runner returns a Report, one row source per format, and one writer per
@@ -42,9 +42,9 @@ byte for byte as json.dumps(doc, indent=2): the long lists of a document
 are row streams whose cells are number text, which holds nothing json
 escapes, so each cell is quoted as it is instead of passing through json's
 escape scan, which costs as much as rendering its digits, and an int cell
-is written by str, which is what json writes for it.  A command
-finishes every step that can fail before its first row is written: when it
-fails, nothing reaches stdout.
+is written by str, which is what json writes for it; a row is one join.
+A command finishes every step that can fail before its first row is
+written: when it fails, nothing reaches stdout.
 Exit codes: 0 success, 1 usage problem, 2 violated window conditions.
 """
 
@@ -377,14 +377,6 @@ _EXACT = decimal.Context(decimal.MAX_PREC, Emin=decimal.MIN_EMIN, Emax=decimal.M
                          traps=[decimal.Inexact, decimal.Rounded])
 
 
-def _scaled(value: Decimal, divisor: int, factor: int) -> Decimal:
-    # value/divisor*factor, exact, for a divisor of value: no division by
-    # a divisor of 1 and no multiplication by a factor of 1
-    if divisor > 1:
-        value = _EXACT.divide_int(value, divisor)
-    return value if factor == 1 else _EXACT.multiply(value, factor)
-
-
 def _exact_rows(sweep: Iterable, columns: Callable[[int, int], dict]
                 ) -> Iterator[dict]:
     """One flat row per level record: n, the command's own columns for
@@ -395,43 +387,46 @@ def _exact_rows(sweep: Iterable, columns: Callable[[int, int], dict]
     records it yielded, whose n, m_n, s_n and next terms alone are read:
     no int product of the terms and no Fraction is formed.  N_n, and
     s_1...s_n as A/B in lowest terms, are exact Decimals stepped by one
-    short multiplication per row, B absent while it is 1.  Each step, and
-    each bound x*B/(y*A) with short x and y, is put in lowest terms by
-    construction._lowest, whose gcds are of short ints only: A and B are
-    read through their remainders by short ints, and divided only by a
-    gcd above 1.
+    short multiplication per row, B absent while it is 1, the product one
+    level ahead: row n reads epsilon_n against s_1...s_n, then delta_n
+    against s_1...s_{n+1}.  Each step and bound x*B/(y*A), x and y short,
+    is put in lowest terms by construction._lowest where x > 1 or B is
+    present, reading A and B only through remainders by short ints, and
+    dividing them only by a gcd above 1.
 
     The rows are a json row stream (see _write_rows): every str in them,
     the command's own columns included, must be number text."""
-    count, a, b = Decimal(1), Decimal(1), None
+    multiply, divide_int, remainder = _EXACT.multiply, _EXACT.divide_int, _EXACT.remainder
+    count = Decimal(1)
 
-    def a_mod(v: int) -> int:
-        return int(_EXACT.remainder(a, v))
+    def mod(value: Decimal, v: int) -> int:
+        return int(remainder(value, v))
 
-    def b_mod(v: int) -> int:
-        return int(_EXACT.remainder(b, v))
-
-    def lowest(x: int, y: int) -> tuple[int, int, int, int]:
-        return _lowest(x, y, a_mod, None if b is None else b_mod)
-
-    def cell(terms: tuple[int, int]) -> str:
-        x, g, y, h = lowest(*terms)
-        return f"{x if b is None else _scaled(b, h, x)}/{_scaled(a, g, y)}"
+    def reduced(x: int, y: int) -> tuple[int | Decimal, Decimal]:
+        # x*B/(y*A) in lowest terms, as (x'*(B/h), y'*(A/g)); no step by a 1
+        g = h = 1
+        if x > 1 or b is not None:
+            x, g, y, h = _lowest(x, y, a, b, mod)
+        den = a if g == 1 else divide_int(a, g)
+        if b is not None:
+            num = b if h == 1 else divide_int(b, h)
+            x = num if x == 1 else multiply(num, x)
+        return x, den if y == 1 else multiply(den, y)
 
     for level in sweep:
-        n, m, s_n = level.n, level.m_n, level.s_n
-        count = _EXACT.multiply(count, m)
-        # s_1...s_n = (A/B)*(num/den): 1/(s_1...s_n) = den*B/(num*A)
-        den, g, num, h = lowest(s_n.denominator, s_n.numerator)
-        a = _scaled(a, g, num)
-        if b is not None:
-            b = _scaled(b, h, den)
-            b = None if b == 1 else b
-        elif den > 1:
-            b = Decimal(den)
+        n, m, s_n, next_level = level.n, level.m_n, level.s_n, level.next_level
+        count = multiply(count, m)
+        if n == 1:  # s_1 = A/B is in lowest terms as it is
+            a, b = Decimal(s_n.numerator), s_n.denominator
+            b = Decimal(b) if b > 1 else None
+        epsilon = "%s/%s" % reduced(*_gap_terms(n, s_n))
+        # s_1...s_{n+1} = (A/B)*(num/den): 1/(s_1...s_{n+1}) = den*B/(num*A)
+        s = next_level[0]
+        b, a = reduced(s.denominator, s.numerator)
+        b = None if b == 1 else Decimal(b)
         yield {"n": n, **columns(n, m), "N_n": str(count),
-               "delta_n": cell(_diameter_terms(level.next_level)),
-               "epsilon_n": cell(_gap_terms(n, s_n))}
+               "delta_n": "%s/%s" % reduced(*_diameter_terms(next_level)),
+               "epsilon_n": epsilon}
 
 
 # -- reports and their writers ---------------------------------------------
@@ -461,8 +456,9 @@ def _write_text(lines: Iterable[str], out: TextIO) -> None:
 
 
 def _write_csv(rows: Iterable[Sequence[str]], out: TextIO) -> None:
-    for row in rows:
-        out.write(",".join(row) + "\n")
+    for row in rows:  # one join, and no copy of it to add the line break
+        out.write(",".join(row))
+        out.write("\n")
 
 
 def _write_json(doc: dict, out: TextIO) -> None:
@@ -502,18 +498,21 @@ def _write_rows(rows: Iterator[dict], out: TextIO) -> None:
     # holds no character that json escapes, so it is quoted as it is; a
     # cell whose type is exactly int is written by str, as json writes it,
     # and a bool, None or anything else by json.dumps.  Each key is
-    # escaped once per stream
+    # escaped once per stream, and a row is one join of its pieces
     keys: dict[str, str] = {}
     separator = "["
     for row in rows:
-        cells = []
+        parts = [separator, "\n    {"]
         for key, value in row.items():
             if key not in keys:
                 keys[key] = f"\n      {json.dumps(key)}: "
-            cells.append(keys[key] + (f'"{value}"' if isinstance(value, str)
-                                      else str(value) if type(value) is int
-                                      else json.dumps(value)))
-        out.write(f"{separator}\n    {{{','.join(cells)}\n    }}")
+            if isinstance(value, str):
+                parts += (keys[key], '"', value, '"', ",")
+            else:
+                parts += (keys[key], str(value) if type(value) is int
+                          else json.dumps(value), ",")
+        parts[-1] = "\n    }"  # the last cell's comma
+        out.write("".join(parts))
         separator = ","
     out.write("\n  ]")
 

@@ -111,8 +111,9 @@ class LevelQuantities(NamedTuple):
         return Fraction(*self._gap_pair())
 
     def _diameter_pair(self) -> tuple[int, int]:
-        # delta_n as its reduced (num, den), den > 0
-        return self._lowest_pair(*_diameter_terms(self.next_level))
+        # delta_n as its reduced (num, den), den > 0, read against s_1...s_n
+        (x, y), s = _diameter_terms(self.next_level), self.next_level[0]
+        return self._lowest_pair(x * s.denominator, y * s.numerator)
 
     def _gap_pair(self) -> tuple[int, int]:
         # epsilon_n as its reduced (num, den), den > 0
@@ -121,7 +122,7 @@ class LevelQuantities(NamedTuple):
     def _lowest_pair(self, x: int, y: int) -> tuple[int, int]:
         # x*B/(y*A) for s_1...s_n = A/B, as its reduced (num, den)
         a, b = self.prod_s.numerator, self.prod_s.denominator
-        x, g, y, h = _lowest(x, y, a.__mod__, b.__mod__)
+        x, g, y, h = _lowest(x, y, a, b, int.__mod__)
         return x * (b // h), y * (a // g)
 
 
@@ -470,10 +471,10 @@ class SequenceFamily(_Record):
 
 
 def _diameter_terms(next_level: _Terms) -> tuple[int, int]:
-    # delta_n = x*B/(y*A) for s_1...s_n = A/B: with s = s_{n+1} and
-    # t = t_{n+1}, x = 4*t_num*s_den**2 and y = t_den*s_num**2
+    # delta_n = 4*t/(s_1...s_{n+1} * s) = x*B/(y*A) for s_1...s_{n+1} = A/B,
+    # s = s_{n+1} and t = t_{n+1}: x = 4*t_num*s_den and y = t_den*s_num
     s, t, _, _ = next_level
-    return 4 * t.numerator * s.denominator ** 2, t.denominator * s.numerator ** 2
+    return 4 * t.numerator * s.denominator, t.denominator * s.numerator
 
 
 def _gap_terms(n: int, s_n: int | Fraction) -> tuple[int, int]:
@@ -482,15 +483,15 @@ def _gap_terms(n: int, s_n: int | Fraction) -> tuple[int, int]:
     return s_n.denominator, s_n.numerator << (n + 3)
 
 
-def _lowest(x: int, y: int, a_mod: Callable[[int], int],
-            b_mod: Callable[[int], int] | None) -> tuple[int, int, int, int]:
+def _lowest(x: int, y: int, a: object, b: object | None,
+            mod: Callable[[object, int], int]) -> tuple[int, int, int, int]:
     """x*B/(y*A) in lowest terms, for short x, y > 0 and a long A/B > 0 in
     lowest terms, as (x', g, y', h): the numerator is x'*(B/h) and the
     denominator y'*(A/g).
 
-    A and B are read only as a_mod(v) and b_mod(v), ints congruent to A
-    and B mod a short v, so they may be held in any exact form; b_mod is
-    None where B = 1, and neither is called where v = 1.  Dividing out
+    A and B are held as a and b in any exact form, and read only as
+    mod(a, v) and mod(b, v), ints congruent to A and B mod a short v; b is
+    None where B = 1, and neither is read where v = 1.  Dividing out
     gcd(x, y), then g = gcd(x, A) and h = gcd(y, B), leaves the fraction
     in lowest terms: x' is prime to y' and to A/g, B/h to y', and A to B.
     The step s_1...s_n = (A/B)*(a/b), as 1/(s_1...s_n) = b*B/(a*A), is the
@@ -498,8 +499,8 @@ def _lowest(x: int, y: int, a_mod: Callable[[int], int],
     """
     c = gcd(x, y)
     x, y = x // c, y // c
-    g = gcd(x, a_mod(x)) if x > 1 else 1
-    h = gcd(y, b_mod(y)) if y > 1 and b_mod is not None else 1
+    g = gcd(x, mod(a, x)) if x > 1 else 1
+    h = gcd(y, mod(b, y)) if y > 1 and b is not None else 1
     return x // g, g, y // h, h
 
 

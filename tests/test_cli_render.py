@@ -10,6 +10,7 @@ import io
 import json
 import json.encoder
 import math
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from engeldim import DomainError, SequenceFamily, cli, construction
+from engeldim import DomainError, EvaluationError, SequenceFamily, cli, construction
 from engeldim.cli import main
 
 @pytest.fixture(autouse=True)
@@ -47,8 +48,28 @@ REDUCED_TABLE = table("6:2,10:3,14:2,35/2:2,45/2:12,211/6:2,239/6:2,257/6:2,"
                       "1351/30:11/2,776/15:9,926/15:2,956/15:9,1121/15:2,"
                       "1166/15:2,1196/15:2,247/3:12/5")
 
+
+def lookahead_table(seed):
+    """(table, depth): a seeded pair table of exactly depth + 1 entries,
+    depth 1 to 8, whose terms t_k have denominators 1 to 6 and whose first
+    non-integral s_k is s_{depth+1}, so the product of the rows, read one
+    level ahead, first has B > 1 on the last row."""
+    rng = random.Random(seed)
+    depth, s, pairs = rng.randint(1, 8), F(rng.randint(3, 12)), []
+    for k in range(1, depth + 2):
+        q = rng.choice((1, 2, 3, 4, 6))
+        t = min(s, F(rng.randint(2 * q, 12 * q), q))
+        pairs.append((s, t))
+        s = F(math.floor(s + t) + rng.randint(1, 6))
+        if k == depth:
+            q = rng.choice((2, 3, 4, 6))
+            s += F(rng.randint(1, q - 1), q)
+    return SequenceFamily.from_pairs(pairs), depth
+
+
 # (family, depth): integral and rational terms, and tables that mix them.
-# s_1...s_n = A/B, and x, y are the short factors of a bound x*B/(y*A)
+# A/B is a product of the s_k, and x, y are the short factors of a bound
+# x*B/(y*A): epsilon_n reads s_1...s_n, delta_n s_1...s_{n+1}
 EXACT_FAMILIES = {
     # s_1...s_n is integral again from n = 2, after a non-integral s_1
     "table turning integral": (table("5/2:2,24/5:2,7:2,10:2,13:2"), 4),
@@ -67,6 +88,13 @@ EXACT_FAMILIES = {
     # s_5 is not integral: B > 1 from level 5, and delta_4 reads s_5
     "table leaving at level 4": (table("3:2,7:3,12:2,16:2,41/2:2,30:2,40:2"), 6),
     "table with gcd(x, A) > 1 and gcd(y, B) > 1": (REDUCED_TABLE, 15),
+    # s_5 is not integral and the table ends there: s_1...s_{n+1} = A/B
+    # first has B > 1 on the last row, for delta_4
+    "table leaving at its last level": (table("3:2,7:3,12:2,16:2,41/2:2"), 4),
+    # s_n = (25/4)^n, t_n = (5/2)^n: B > 1 from level 1
+    "power-geometric base 25/4": (SequenceFamily.power_geometric(F(25, 4), F(1, 2)), 60),
+    **{f"table leaving at its last level, seed {seed}": lookahead_table(seed)
+       for seed in range(20)},
 }
 
 
@@ -96,6 +124,27 @@ def fraction_rows(fam, depth):
 def test_exact_cells_match_str(name):
     fam, depth = EXACT_FAMILIES[name]
     assert rows_of(fam, depth) == fraction_rows(fam, depth)
+
+
+@pytest.mark.parametrize("name", EXACT_FAMILIES)
+def test_diameter_bound_is_the_squared_form(name):
+    # level_quantities reads delta_n's terms against s_1...s_n, not one
+    # level ahead as the rows do: against 4*t_{n+1}/(s_1...s_n * s_{n+1}**2)
+    fam, depth = EXACT_FAMILIES[name]
+    prod_s = F(1)
+    for n in range(1, depth + 1):
+        prod_s *= fam.s(n)
+        expected = 4 * fam.t(n + 1) / (prod_s * fam.s(n + 1) ** 2)
+        assert fam.level_quantities(n).diameter_bound == expected
+
+
+def test_lookahead_tables_leave_integral_terms_at_their_last_level():
+    for seed in range(20):
+        fam, depth = lookahead_table(seed)
+        terms = [fam.s(k) for k in range(1, depth + 2)]
+        assert [s.denominator > 1 for s in terms] == [False] * depth + [True]
+        with pytest.raises(EvaluationError):
+            fam.s(depth + 2)
 
 
 def test_rendering_leaves_the_thread_context_alone():
@@ -134,16 +183,20 @@ def test_integral_families_convert_no_long_int_in_full(fam, monkeypatch):
 
 
 class _CountingContext:
-    """A decimal context that counts the calls of each of its methods."""
+    """A decimal context that counts the calls of each of its methods, and
+    sums the bit lengths of the int operands of its multiplications."""
 
     def __init__(self, context):
-        self.context, self.calls = context, collections.Counter()
+        self.context, self.calls, self.multiplier_bits = context, collections.Counter(), 0
 
     def __getattr__(self, name):
         method = getattr(self.context, name)
 
         def counted(*args):
             self.calls[name] += 1
+            if name == "multiply":
+                self.multiplier_bits += sum(arg.bit_length() for arg in args
+                                            if type(arg) is int)
             return method(*args)
 
         return counted
@@ -178,6 +231,27 @@ def test_integral_rows_form_no_int_product_and_divide_by_no_one(fam, depth, call
     if calls is not None:
         assert {name: exact.calls[name] for name in calls} == calls
     assert exact.calls["multiply"] > 0
+
+
+# the int operands of the rows' multiplications over levels 1..60 sum to
+# 16,950 bits on (4^n, 2^n), 15,784 on (3^n, 2^n), 9,570 on (2^n, 2) and
+# 42,768 on the rational geometric family where delta_n is read against
+# s_1...s_n, with s_{n+1}**2 in its factor y
+@pytest.mark.parametrize("fam, squared_bits", [
+    (SequenceFamily.geometric(4, 2), 16_950),
+    (SequenceFamily.geometric(3, 2), 15_784),
+    (SequenceFamily.geometric(2, 1, t_coef=2), 9_570),
+    (RATIONAL, 42_768),
+], ids=["(4^n, 2^n)", "(3^n, 2^n)", "(2^n, 2)", "rational geometric"])
+def test_rows_read_delta_one_level_ahead(fam, squared_bits, monkeypatch):
+    # read against s_1...s_{n+1}, delta_n's y holds s_{n+1} once: a
+    # multiplication's cost grows with its short factor's length
+    exact = _CountingContext(cli._EXACT)
+    monkeypatch.setattr(cli, "_EXACT", exact)
+    rows = rows_of(fam, 60)
+    monkeypatch.undo()
+    assert rows == fraction_rows(fam, 60)
+    assert exact.multiplier_bits <= 0.85 * squared_bits
 
 
 def test_exact_rows_build_no_fraction(monkeypatch):
@@ -241,6 +315,23 @@ def test_quantities_walks_its_levels_once(output, monkeypatch, capsys):
 
 # -- the JSON writer ---------------------------------------------------------
 
+# a 10,000-digit cell, an empty one, and a null in the last column, as
+# dim writes lower_n at n = 1
+EDGE_ROWS = [
+    {"n": 1, "F_n": "0.5", "N_n": "9" * 10_000, "lower_n": "0.25"},
+    {"n": 2, "F_n": "", "N_n": "12", "lower_n": "0.25"},
+    {"n": 3, "F_n": "0.5", "N_n": "12", "lower_n": None},
+]
+
+
+def test_write_csv_joins_each_row_once():
+    out = io.StringIO()
+    cli._write_csv(cli._csv_of(EDGE_ROWS), out)
+    assert out.getvalue() == "".join(",".join(row) + "\n" for row in cli._csv_of(EDGE_ROWS))
+    assert out.getvalue().splitlines()[1:] == [
+        f"1,0.5,{'9' * 10_000},0.25", "2,,12,0.25", "3,0.5,12,"]
+
+
 # fixed examples, no example database: the suite stays deterministic
 SEEDED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -272,6 +363,7 @@ fields = (st.tuples(st.just(False), heads)
 # int cells are written by str; bools, None and long ints still read as json's
 @example({"levels": (True, [{"t": True, "f": False, "none": None, "zero": 0,
                              "big": 2**70, "negative": -2**70}])})
+@example({"head": (False, 1), "levels": (True, EDGE_ROWS)})
 def test_write_json_is_json_dumps(doc):
     out = io.StringIO()
     cli._write_json({key: iter(value) if streamed else value

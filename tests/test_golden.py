@@ -39,7 +39,13 @@ digits per window as csv.  Three pin cover-fit on many depths: (2^n, 2)
 at depths 1..60 then 7, 60, 33, dense, unsorted and repeated, as json;
 the rational family at depths 40, 5, 25, 5, 12 under a limit of 10^320,
 its count at depth 40 of 314 digits, as csv; and a seeded rational pair
-table of 41 entries at ascending depths 1 to 40 as text.
+table of 41 entries at ascending depths 1 to 40 as text.  Three pin the
+exact rows' product read one level ahead: quantities as json on
+power-geometric base 4, theta 1/2, at depth 197 (2.0 MB); dim as json on
+s_n = 2^n, t_n = 2 at n_max 182, whose delta_1 leaves x = 2 against
+s_1*s_2 and so takes a remainder; and quantities as json on the table
+3:2,7:3,12:2,16:2,41/2:2 at depth 4, exactly depth + 1 entries, whose
+product first has B > 1 at the last row's level n + 1.
 
 The same cases and digests are also replayed under every python3.10 to
 python3.13 on PATH, or else installed by pyenv, since the output must not
