@@ -170,7 +170,7 @@ class SequenceFamily(_Record):
             _s_fn=lambda n: sc * sr**n,
             _t_fn=lambda n: tc * tr**n,
             _diverges=sr > 1,
-            _terms=lambda: zip(_geometric_terms(sc, sr), _geometric_terms(tc, tr)),
+            _terms=lambda: _geometric_terms(sc, sr, tc, tr),
         )
 
     @classmethod
@@ -248,13 +248,15 @@ class SequenceFamily(_Record):
     def levels(self, depth: int) -> Iterator[_Terms]:
         """Yield (s_k, t_k, j_min, j_max) for k = 1..depth in one pass.
 
-        j_min..j_max is the digit window floor(s_k)+1..floor(s_k+t_k).  The
-        conditions are verified as the walk goes: the first failing level
-        raises its ConditionError after the levels before it were yielded.
-        Nothing is cached: table and closure families evaluate every s_k
-        and t_k once, closed-form families step each from the term before.
-        A term equals and prints as s(k) or t(k), but is an int where the
-        family's coefficient and ratio are integral.
+        j_min..j_max is the digit window floor(s_k)+1..floor(s_k+t_k), two
+        ints for every family; where s_k and t_k are ints it is
+        s_k+1..s_k+t_k, taken without floor.  The conditions are verified
+        as the walk goes: the first failing level raises its ConditionError
+        after the levels before it were yielded.  Nothing is cached: table
+        and closure families evaluate every s_k and t_k once, closed-form
+        families step both from the pair before.  A term equals and prints
+        as s(k) or t(k), but is an int where its coefficient and ratio are
+        integral.
         """
         return self._walk(depth)
 
@@ -267,7 +269,9 @@ class SequenceFamily(_Record):
             terms = ((self.s(n), self.t(n)) for n in itertools.count(1))
         else:
             terms = self._terms()
-        # range first: zip stops before it draws a term past depth
+        # range first: zip stops before it draws a term past depth.  top is
+        # s_{n-1} + t_{n-1}, and 0 at level 1, which s_1 > 0 never fails
+        top = 0
         for n, (s_n, t_n) in zip(range(1, depth + 1), terms):
             if not s_n >= t_n >= 2:
                 if first_failures is None:
@@ -275,14 +279,17 @@ class SequenceFamily(_Record):
                         1, n, f"s_{n} >= t_{n} >= 2 fails: s={s_n}, t={t_n}"
                     )
                 first_failures.setdefault(1, n)
-            if n > 1 and s_n < top:  # top = s_{n-1} + t_{n-1}
+            if s_n < top:
                 if first_failures is None:
                     raise ConditionError(
                         2, n - 1, f"s_{n} >= s_{n-1} + t_{n-1} fails: {s_n} < {top}"
                     )
                 first_failures.setdefault(2, n - 1)
             top = s_n + t_n
-            yield s_n, t_n, floor(s_n) + 1, floor(top)
+            if type(top) is int:  # then s_n and t_n are ints, their own floors
+                yield s_n, t_n, s_n + 1, top
+            else:
+                yield s_n, t_n, floor(s_n) + 1, floor(top)
 
     def check_conditions(self, depth: int) -> ConditionReport:
         """Verify the window conditions exactly for all n <= depth.
@@ -646,15 +653,18 @@ def _balanced_prod(factors: Iterable[int | Fraction]) -> int | Fraction:
     return values[0] if values else 1
 
 
-def _geometric_terms(coef: Fraction, ratio: Fraction) -> Iterator[int | Fraction]:
-    # coef * ratio**n for n = 1, 2, ...: ints when both are integral, else
-    # Fractions, whose product with the ratio reduces by small gcds only
-    if coef.denominator == ratio.denominator == 1:
-        coef, ratio = coef.numerator, ratio.numerator
-    term = coef
+def _geometric_terms(s_coef: Fraction, s_ratio: Fraction, t_coef: Fraction,
+                     t_ratio: Fraction) -> Iterator[tuple[int | Fraction, int | Fraction]]:
+    # (s_n, t_n) = (s_coef * s_ratio**n, t_coef * t_ratio**n) for n = 1, 2,
+    # ..., both stepped at once: each an int when its coefficient and ratio
+    # are integral, else a Fraction, whose product with the ratio reduces
+    # by small gcds only
+    s, s_ratio, t, t_ratio = (v.numerator if v.denominator == 1 else v
+                              for v in (s_coef, s_ratio, t_coef, t_ratio))
     while True:
-        term *= ratio
-        yield term
+        s *= s_ratio
+        t *= t_ratio
+        yield s, t
 
 
 def _validated_pairs(pairs: Iterable) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -103,19 +103,23 @@ def estimate_dimension(f: SequenceFamily, n_max: int,
 
     # one shared sweep: prefix sums of the floated logs.  Each pass takes
     # the logs of the level it reaches, n + 1, and completes level n's
-    # quotients.  Every branch count is computed exactly, from the walker's
-    # window; a window over an integral t_k holds t_k digits, so the log of
-    # t_k serves for both
+    # quotients.  An int term's log is math.log's, the value log_rational
+    # gives it.  A window over an integral t_k holds floor(s_k + t_k) -
+    # floor(s_k) = t_k digits, so an int t_k's log serves for both and its
+    # branch count is not formed; any other is formed from the window
     formula: list[float] = []
     upper: list[float] = []
     lower: list[float | None] = []
     sum_log_s = sum_log_t = sum_log_m = 0.0
     n = 0
     for s_k, t_k, j_min, j_max in f.levels(n_max + 1):
-        log_s_next = log_rational(s_k)
-        log_t_next = log_rational(t_k)
-        m = j_max - j_min + 1
-        log_m_next = log_t_next if m == t_k else log_rational(m)
+        log_s_next = log(s_k) if type(s_k) is int else log_rational(s_k)
+        if type(t_k) is int:
+            log_t_next = log_m_next = log(t_k)
+        else:
+            log_t_next = log_rational(t_k)
+            m = j_max - j_min + 1
+            log_m_next = log_t_next if m == t_k else log_rational(m)
         if n:
             sum_log_s += log_s
             sum_log_t += log_t

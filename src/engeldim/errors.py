@@ -38,11 +38,12 @@ class SizeLimitError(EngelDimError):
         shown = count
         if count >= 10**40:
             # log10 of a big int errs by about k*2**-50; only a value that
-            # close to an integer k needs the power 10**k to settle its floor
+            # close to an integer k needs the power 10**k to settle its floor,
+            # else int() truncates the positive log10 to it
             log10 = math.log10(count)
             k = round(log10)
             if abs(log10 - k) > log10 * 2**-40:
-                k = math.floor(log10)
+                k = int(log10)
             elif 10**k > count:
                 k -= 1
             shown = f"at least 10^{k}"

@@ -134,9 +134,11 @@ def rational_table(entries: int) -> SequenceFamily:
     SequenceFamily.geometric(3, 2),
     SequenceFamily.power_geometric(4, F(1, 2)),
     SequenceFamily.geometric(F(10, 3), F(7, 3), 3, 2),
+    SequenceFamily.geometric(4, F(3, 2), 2, 2),
+    SequenceFamily.geometric(F(7, 2), 2, 2, 3),
     rational_table(301),
 ], ids=["4n-2n", "2n-2n", "2n-2", "3n-2n", "power-geometric-4-half",
-        "fraction-terms", "rational-table"])
+        "fraction-terms", "int-s-fraction-t", "fraction-s-int-t", "rational-table"])
 def test_report_equals_an_independent_fold_to_the_bit(fam):
     formula, upper, lower = independent_fold(fam, 300)
     for n_max in range(1, 301):
@@ -144,6 +146,15 @@ def test_report_equals_an_independent_fold_to_the_bit(fam):
         assert report.formula == formula[:n_max], n_max
         assert report.upper == upper[:n_max], n_max
         assert report.lower == lower[:n_max], n_max
+
+
+def test_report_equals_an_independent_fold_past_the_double_range():
+    # s_k = 4^k passes 2^1024 at k = 512, where math.log of an int takes
+    # its frexp path: the fold's direct log equals log_rational's there too
+    fam = SequenceFamily.geometric(4, 2)
+    assert fam.s(1851) > 2**1024
+    report = estimate_dimension(fam, 1850)
+    assert (report.formula, report.upper, report.lower) == independent_fold(fam, 1850)
 
 
 def test_fold_families_take_both_branch_count_paths():
@@ -154,6 +165,11 @@ def test_fold_families_take_both_branch_count_paths():
     table = rational_table(301)
     assert {table.t(k) == oracle_branch_count(table, k) for k in range(1, 302)} == {
         True, False}
+    # each mixed family takes the int lane for one term and the Fraction
+    # lane for the other, at every level
+    for fam, kinds in ((SequenceFamily.geometric(4, F(3, 2), 2, 2), (int, F)),
+                       (SequenceFamily.geometric(F(7, 2), 2, 2, 3), (F, int))):
+        assert {(type(s), type(t)) for s, t, _, _ in fam.levels(301)} == {kinds}
 
 
 def test_formula_quotient_validates_level(fam42):

@@ -110,6 +110,35 @@ def test_only_the_construction_module_names_the_level_windows_and_count():
     assert named == {"construction.py": owned}
 
 
+def calls_by_scope(node: ast.AST, scope: str, names: set[str]) -> list[tuple[str, str]]:
+    """(callee, scope) of each call under node of one of names, by a bare
+    name or an attribute; scope is the dotted path of the module, classes
+    and functions around the call."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    found = []
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in names:
+            found.append((name, scope))
+    for child in ast.iter_child_nodes(node):
+        found += calls_by_scope(child, scope, names)
+    return found
+
+
+def test_only_the_level_walker_floors_terms_and_raises_condition_errors():
+    # the walker states both window conditions once and floors the terms
+    # of a non-integral level; int terms skip the floors in the same loop,
+    # so no second walker may check or floor terms of its own
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += calls_by_scope(tree, path.stem, {"floor", "ConditionError"})
+    walker = "construction.SequenceFamily._walk"
+    assert sorted(found) == [("ConditionError", walker)] * 2 + [("floor", walker)] * 2
+
+
 def is_branch_count(node: ast.expr) -> bool:
     """Whether node reads `hi - lo + 1`, the digit count of one window."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
